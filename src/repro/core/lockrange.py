@@ -11,8 +11,9 @@ per frequency, walk once along ``C_{T_f,1}``:
 * the tank's monotone phase map converts each point's required ``phi_d``
   into an operating frequency;
 * the lock range is the frequency interval spanned by the *stable* points,
-  with the boundaries refined to sub-grid accuracy (golden-section on the
-  fold of ``phi_d`` along the curve).
+  with the boundaries refined to sub-grid accuracy: both edges solve the
+  fold condition ``d phi_d / d phi = 0`` along the curve in one batched
+  pass (docs/THEORY.md section 4.1).
 
 This finds the complete lock range in exactly one pass — "it does not
 involve many iterations ... but finds solutions in exactly one pass".  The
@@ -47,6 +48,9 @@ __all__ = ["LockRangePoint", "LockRange", "predict_lock_range", "lock_range_by_f
 #: Tank phases closer to +-pi/2 than this are outside any physical lock for
 #: the topologies considered (cos(phi_d) -> 0 starves the loop gain).
 _PHI_D_LIMIT = 0.49 * np.pi
+
+#: Bracket width in phi (radians) at which an edge search stops.
+_EDGE_PHI_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -219,74 +223,84 @@ def _solve_amplitudes_batched(
     a_window: tuple[float, float],
     *,
     tol: float = 1e-13,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Vectorised ``T_f(A, phi) = 1`` solve for many curve points at once.
 
-    Mirrors :func:`_solve_amplitude_on_curve` — bracket expansion around
-    each seed followed by bisection — but runs every point of the invariant
-    curve through the (zero-nonlinearity-call) surface evaluator in lock
-    step, so the whole curve costs a few dozen small vector operations
-    instead of tens of thousands of scalar quadratures.  Unbracketable
-    points come back as NaN.
+    Bracket expansion around each seed, as in
+    :func:`_solve_amplitude_on_curve`, then a safeguarded Newton iteration
+    (``rtsafe``): a Newton step on the evaluator's analytic ``dI_1/dA``,
+    replaced by bisection whenever it would leave the bracket or fails to
+    halve the previous step.  Every point runs in lock step through the
+    (zero-nonlinearity-call) surface evaluator, so the whole curve costs a
+    handful of small vector operations.  Unbracketable points come back
+    as NaN.
+
+    Returns ``(amplitudes, evaluation)``; ``evaluation`` is the evaluator's
+    ``(I_1, dI_1/dA, dI_1/dphi)`` at each point's last Newton iterate,
+    within ``tol`` of the returned amplitude.
     """
 
     def residual(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-        i1x = np.real(evaluate(a, p))
-        return -tank_r * i1x / (a / 2.0) - 1.0
+        return -tank_r * np.real(evaluate(a, p)) / (a / 2.0) - 1.0
 
+    size = phis.size
     lo, hi = a_window
     span = 0.05 * (hi - lo)
     a_lo = np.maximum(lo, seeds - span)
     a_hi = np.minimum(hi, seeds + span)
-    r_lo = residual(a_lo, phis)
-    r_hi = residual(a_hi, phis)
+    # Both bracket ends in one evaluator call.
+    ends = residual(np.concatenate([a_lo, a_hi]), np.concatenate([phis, phis]))
+    r_lo, r_hi = ends[:size], ends[size:]
     for _ in range(6):
         open_ = np.sign(r_lo) == np.sign(r_hi)
-        if not open_.any():
-            break
-        at_limit = open_ & (a_lo <= lo) & (a_hi >= hi)
-        grow = open_ & ~at_limit
+        grow = open_ & ~((a_lo <= lo) & (a_hi >= hi))
         if not grow.any():
             break
         a_lo = np.where(grow, np.maximum(lo, a_lo - span), a_lo)
         a_hi = np.where(grow, np.minimum(hi, a_hi + span), a_hi)
-        r_lo = np.where(grow, residual(a_lo, phis), r_lo)
-        r_hi = np.where(grow, residual(a_hi, phis), r_hi)
+        idx = np.nonzero(grow)[0]
+        ends = residual(np.concatenate([a_lo[idx], a_hi[idx]]), np.tile(phis[idx], 2))
+        r_lo[idx], r_hi[idx] = ends[: idx.size], ends[idx.size :]
     bracketed = np.sign(r_lo) != np.sign(r_hi)
 
-    if phis.size == 1:
-        # Scalar query (edge refinement): Brent converges in ~a dozen
-        # evaluator calls where synchronised bisection needs ~50.
-        if not bool(bracketed[0]):
-            return np.array([np.nan])
-        from scipy.optimize import brentq
-
-        phi = float(phis[0])
-        root = brentq(
-            lambda a: float(residual(np.array([a]), np.array([phi]))[0]),
-            float(a_lo[0]),
-            float(a_hi[0]),
-            xtol=tol,
-            rtol=8.9e-16,
-        )
-        return np.array([root])
-
-    # Bisection, synchronised across all bracketed points.
-    lo_v = a_lo.copy()
-    hi_v = a_hi.copy()
-    f_lo = r_lo.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo_v + hi_v)
-        width_ok = (hi_v - lo_v) < tol * np.maximum(1.0, np.abs(mid))
-        if bool(np.all(width_ok | ~bracketed)):
+    x = np.where((seeds > a_lo) & (seeds < a_hi), seeds, 0.5 * (a_lo + a_hi))
+    step_old = a_hi - a_lo
+    roots = np.full(size, np.nan)
+    evaluation = tuple(np.zeros(size, dtype=complex) for _ in range(3))
+    active = bracketed.copy()
+    for _ in range(100):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
             break
-        f_mid = residual(mid, phis)
-        take_low = np.sign(f_mid) == np.sign(f_lo)
-        lo_v = np.where(take_low, mid, lo_v)
-        f_lo = np.where(take_low, f_mid, f_lo)
-        hi_v = np.where(take_low, hi_v, mid)
-    solution = 0.5 * (lo_v + hi_v)
-    return np.where(bracketed, solution, np.nan)
+        xi = x[idx]
+        values = evaluate(xi, phis[idx], grad=True)
+        for store, value in zip(evaluation, values):
+            store[idx] = value
+        i1x, d_a_i1x = np.real(values[0]), np.real(values[1])
+        g = -tank_r * i1x / (xi / 2.0) - 1.0
+        g_a = -2.0 * tank_r * (d_a_i1x - i1x / xi) / xi
+        # Shrink the bracket onto the root's side of the iterate.
+        low_side = np.sign(g) == np.sign(r_lo[idx])
+        a_lo[idx] = np.where(low_side, xi, a_lo[idx])
+        r_lo[idx] = np.where(low_side, g, r_lo[idx])
+        a_hi[idx] = np.where(low_side, a_hi[idx], xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / g_a
+        newton = xi - step
+        take_newton = (
+            np.isfinite(newton)
+            & (newton >= a_lo[idx])
+            & (newton <= a_hi[idx])
+            & (np.abs(step) <= 0.5 * np.abs(step_old[idx]))
+        )
+        x_new = np.where(take_newton, newton, 0.5 * (a_lo[idx] + a_hi[idx]))
+        step_old[idx] = x_new - xi
+        x[idx] = x_new
+        done = np.abs(x_new - xi) <= tol * np.maximum(1.0, np.abs(x_new))
+        roots[idx[done]] = x_new[done]
+        active[idx[done]] = False
+    roots[active] = x[active]
+    return roots, evaluation
 
 
 def _points_at_phis_batched(
@@ -296,8 +310,6 @@ def _points_at_phis_batched(
     phis: np.ndarray,
     seeds: np.ndarray,
     a_window: tuple[float, float],
-    *,
-    with_stability: bool = True,
 ) -> list[LockRangePoint | None]:
     """Vectorised :func:`_point_at_phi` over many curve points.
 
@@ -311,7 +323,7 @@ def _points_at_phis_batched(
     seeds = np.asarray(seeds, dtype=float)
     tank_r = tank.peak_resistance
     tank_c = tank.effective_capacitance()
-    amplitudes = _solve_amplitudes_batched(evaluate, tank_r, phis, seeds, a_window)
+    amplitudes, _ = _solve_amplitudes_batched(evaluate, tank_r, phis, seeds, a_window)
     valid = np.isfinite(amplitudes)
     safe_a = np.where(valid, amplitudes, 1.0)
 
@@ -334,39 +346,29 @@ def _points_at_phis_batched(
             )
             valid[j] = False
 
-    if with_stability:
-        # Batched finite-difference Jacobian of the slow flow (same stencil
-        # as SlowFlow.jacobian: central differences, rel_step 1e-5).
-        tan_phi_d = np.tan(phi_d)
-
-        def rhs(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            i1_ap = evaluate(a, p)
-            tf = -tank_r * np.real(i1_ap) / (a / 2.0)
-            da = a / (2.0 * tank_r * tank_c) * (tf - 1.0)
-            dphi = (
-                df.n
-                / (2.0 * tank_c)
-                * (2.0 * np.imag(i1_ap) / a - tan_phi_d / tank_r)
-            )
-            return da, dphi
-
-        rel_step = 1e-5
-        h_a = rel_step * safe_a
-        h_p = rel_step * 2.0 * np.pi
-        fa_p = rhs(safe_a + h_a, phis)
-        fa_m = rhs(safe_a - h_a, phis)
-        fp_p = rhs(safe_a, phis + h_p)
-        fp_m = rhs(safe_a, phis - h_p)
-        j00 = (fa_p[0] - fa_m[0]) / (2.0 * h_a)
-        j01 = (fp_p[0] - fp_m[0]) / (2.0 * h_p)
-        j10 = (fa_p[1] - fa_m[1]) / (2.0 * h_a)
-        j11 = (fp_p[1] - fp_m[1]) / (2.0 * h_p)
-        trace = j00 + j11
-        det = j00 * j11 - j01 * j10
-        stable = (trace < 0.0) & (det > 0.0)
-    else:
-        # Probe mode (edge refinement tracks phi_d only).
-        stable = np.zeros(phis.shape, dtype=bool)
+    # Batched finite-difference Jacobian of the slow flow (same stencil
+    # as SlowFlow.jacobian: central differences, rel_step 1e-5), all four
+    # stencil points in one evaluator call.
+    rel_step = 1e-5
+    h_a = rel_step * safe_a
+    h_p = rel_step * 2.0 * np.pi
+    a_st = np.concatenate([safe_a + h_a, safe_a - h_a, safe_a, safe_a])
+    p_st = np.concatenate([phis, phis, phis + h_p, phis - h_p])
+    i1_st = evaluate(a_st, p_st)
+    tf = -tank_r * np.real(i1_st) / (a_st / 2.0)
+    f_a = (a_st / (2.0 * tank_r * tank_c) * (tf - 1.0)).reshape(4, -1)
+    f_phi = (
+        df.n
+        / (2.0 * tank_c)
+        * (2.0 * np.imag(i1_st) / a_st - np.tile(np.tan(phi_d), 4) / tank_r)
+    ).reshape(4, -1)
+    j00 = (f_a[0] - f_a[1]) / (2.0 * h_a)
+    j01 = (f_a[2] - f_a[3]) / (2.0 * h_p)
+    j10 = (f_phi[0] - f_phi[1]) / (2.0 * h_a)
+    j11 = (f_phi[2] - f_phi[3]) / (2.0 * h_p)
+    trace = j00 + j11
+    det = j00 * j11 - j01 * j10
+    stable = (trace < 0.0) & (det > 0.0)
 
     points: list[LockRangePoint | None] = []
     for j in range(phis.size):
@@ -385,6 +387,157 @@ def _points_at_phis_batched(
     return points
 
 
+def _edge_bracket(
+    samples: list[LockRangePoint], best: LockRangePoint, count: int = 5
+) -> tuple[list[float], list[LockRangePoint]]:
+    """The ``count`` samples nearest ``best`` in phi, unwrapped about it.
+
+    ``phi`` is an angle: samples either side of the ``0 / 2 pi`` seam are
+    neighbours.  Returns their abscissae as ``best.phi`` plus the wrapped
+    offset, sorted, with the matching samples — so ``[phis[0], phis[-1]]``
+    is a bracket of a few grid cells around ``best`` even when it
+    straddles the seam.
+    """
+    offsets = [float(np.angle(np.exp(1j * (p.phi - best.phi)))) for p in samples]
+    nearest = sorted(range(len(samples)), key=lambda j: abs(offsets[j]))[:count]
+    nearest.sort(key=lambda j: offsets[j])
+    return [best.phi + offsets[j] for j in nearest], [samples[j] for j in nearest]
+
+
+def _fold_slope(evaluation, amplitude: np.ndarray, tank_r: float) -> np.ndarray:
+    """``D = d phi_d / d phi`` along the ``T_f = 1`` curve.
+
+    ``evaluation`` is the evaluator's ``(I_1, dI_1/dA, dI_1/dphi)`` at
+    points of the curve.  With ``G = T_f - 1`` and
+    ``H = phi_d = -angle(-I_1)`` the curve's slope is
+    ``dA/dphi = -G_phi / G_A``, so ``D = H_phi - H_A G_phi / G_A``
+    (docs/THEORY.md section 4.1).  A lock-range edge is a zero of ``D``.
+    """
+    i1, d_a, d_phi = evaluation
+    h_a = -np.imag(d_a / i1)
+    h_phi = -np.imag(d_phi / i1)
+    g_a = -2.0 * tank_r * (np.real(d_a) - np.real(i1) / amplitude) / amplitude
+    g_phi = -2.0 * tank_r * np.real(d_phi) / amplitude
+    return h_phi - h_a * g_phi / g_a
+
+
+def _refine_edges(
+    df: TwoToneDF,
+    tank: Tank,
+    evaluate,
+    samples: list[LockRangePoint],
+    stable: list[LockRangePoint],
+    a_window: tuple[float, float],
+) -> list[LockRangePoint]:
+    """Both lock-range edges by one batched solve of ``D(phi) = 0``.
+
+    Edge ``e`` maximises ``sign_e * phi_d`` (``+1`` lower, ``-1`` upper
+    edge) near the most extreme stable sample, over the
+    :func:`_edge_bracket` of its neighbours.  The curve is followed on that
+    sample's branch: every point, the bracket ends included, re-solves
+    ``A`` by the safeguarded Newton of :func:`_solve_amplitudes_batched`,
+    seeded from the sample (at the ends) or from the edge's previous
+    probe.  An end the branch does not reach (it leaves the amplitude
+    window first) retreats to the branch's last solvable phi.  When
+    ``sign_e * D`` falls from positive to negative over the bracket it
+    holds a maximum, found by Illinois (regula falsi) iteration with both
+    edges as one length-2 array.  Otherwise (or if a probe fails) the edge
+    is the better of the best sample and the bracket ends, where a search
+    for the maximum over the bracket would converge.
+    """
+    tank_r = tank.peak_resistance
+    signs = np.array([1.0, -1.0])
+    bests = [max(stable, key=lambda p: sign * p.phi_d) for sign in signs]
+    brackets = [_edge_bracket(samples, best)[0] for best in bests]
+    # Ends as [lower edge lo, upper edge lo, lower edge hi, upper edge hi].
+    ends_phi = np.array([b[0] for b in brackets] + [b[-1] for b in brackets])
+    amp = np.array([best.amplitude for best in bests])
+    seeds = np.tile(amp, 2)
+    ends_a, evaluation = _solve_amplitudes_batched(
+        evaluate, tank_r, ends_phi, seeds, a_window
+    )
+    lost = ~np.isfinite(ends_a)
+    if lost.any():
+        # The sample's branch leaves the amplitude window before this end:
+        # bisect towards the sample for the branch's last solvable phi,
+        # where a search for the maximum over the bracket would stop.
+        reach = np.tile([best.phi for best in bests], 2)
+        for _ in range(60):
+            idx = np.nonzero(lost & (np.abs(ends_phi - reach) > _EDGE_PHI_TOL))[0]
+            if idx.size == 0:
+                break
+            mid = 0.5 * (reach[idx] + ends_phi[idx])
+            a_mid, _ = _solve_amplitudes_batched(
+                evaluate, tank_r, mid, seeds[idx], a_window
+            )
+            solved = np.isfinite(a_mid)
+            reach[idx] = np.where(solved, mid, reach[idx])
+            ends_phi[idx] = np.where(solved, ends_phi[idx], mid)
+        ends_phi = np.where(lost, reach, ends_phi)
+        ends_a, evaluation = _solve_amplitudes_batched(
+            evaluate, tank_r, ends_phi, seeds, a_window
+        )
+    with np.errstate(invalid="ignore"):
+        slopes = np.tile(signs, 2) * _fold_slope(evaluation, ends_a, tank_r)
+    x_lo, x_hi = ends_phi[:2].copy(), ends_phi[2:].copy()
+    f_lo, f_hi = slopes[:2], slopes[2:]
+
+    active = (f_lo > 0.0) & (f_hi < 0.0)
+    converged = np.zeros(2, dtype=bool)
+    phi = np.zeros(2)
+    last_side = np.zeros(2)
+    for _ in range(60):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        c = (x_lo[idx] * f_hi[idx] - x_hi[idx] * f_lo[idx]) / (f_hi[idx] - f_lo[idx])
+        a_c, evaluation = _solve_amplitudes_batched(
+            evaluate, tank_r, c, amp[idx], a_window
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_c = signs[idx] * _fold_slope(evaluation, a_c, tank_r)
+        failed = ~np.isfinite(f_c)
+        phi[idx] = c
+        amp[idx] = np.where(failed, amp[idx], a_c)
+        # Illinois: when the same end moves twice running, halve the value
+        # held at the other end so the bracket closes from both sides.
+        to_hi = f_c < 0.0
+        to_lo = f_c > 0.0
+        f_lo[idx] = np.where(to_hi & (last_side[idx] < 0), 0.5 * f_lo[idx], f_lo[idx])
+        f_hi[idx] = np.where(to_lo & (last_side[idx] > 0), 0.5 * f_hi[idx], f_hi[idx])
+        x_hi[idx] = np.where(to_hi, c, x_hi[idx])
+        f_hi[idx] = np.where(to_hi, f_c, f_hi[idx])
+        x_lo[idx] = np.where(to_lo, c, x_lo[idx])
+        f_lo[idx] = np.where(to_lo, f_c, f_lo[idx])
+        last_side[idx] = np.where(to_hi, -1.0, np.where(to_lo, 1.0, 0.0))
+        done = (f_c == 0.0) | (x_hi[idx] - x_lo[idx] <= _EDGE_PHI_TOL)
+        converged[idx] = done & ~failed
+        active[idx] = ~done & ~failed
+
+    # One batched point build: the extremum of each converged edge, both
+    # bracket ends of every other edge.
+    builds = []
+    for e in range(2):
+        if converged[e]:
+            builds.append((e, phi[e], amp[e]))
+            continue
+        metrics.inc("lockrange.edge_endpoint_rule")
+        builds += [
+            (e, ends_phi[k], ends_a[k]) for k in (e, 2 + e) if np.isfinite(ends_a[k])
+        ]
+    candidates = [[best] for best in bests]
+    if builds:
+        owners, at_phi, at_a = (np.array(column) for column in zip(*builds))
+        points = _points_at_phis_batched(df, tank, evaluate, at_phi, at_a, a_window)
+        for e, point in zip(owners, points):
+            if point is not None:
+                candidates[e].append(point)
+    return [
+        max(found, key=lambda p: sign * p.phi_d)
+        for found, sign in zip(candidates, signs)
+    ]
+
+
 def _refine_extremum(
     df: TwoToneDF,
     tank: Tank,
@@ -393,31 +546,19 @@ def _refine_extremum(
     a_seed: float,
     a_window: tuple[float, float],
     sign: float,
-    *,
-    tol: float = 1e-10,
-    evaluate=None,
 ) -> LockRangePoint | None:
-    """Golden-section maximisation of ``sign * phi_d`` along the curve."""
+    """Golden-section maximisation of ``sign * phi_d`` along the curve.
+
+    The ``method="dense"`` referee's edge search: every probe is an exact
+    quadrature point (:func:`_point_at_phi`).
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
 
     cache: dict[float, LockRangePoint | None] = {}
 
-    def point_at(phi: float, with_stability: bool = False) -> LockRangePoint | None:
-        if evaluate is None:
-            return _point_at_phi(df, tank, phi, a_seed, a_window)
-        return _points_at_phis_batched(
-            df,
-            tank,
-            evaluate,
-            np.array([phi]),
-            np.array([a_seed]),
-            a_window,
-            with_stability=with_stability,
-        )[0]
-
     def value(phi: float) -> float:
         if phi not in cache:
-            cache[phi] = point_at(phi)
+            cache[phi] = _point_at_phi(df, tank, phi, a_seed, a_window)
         point = cache[phi]
         if point is None:
             return -np.inf
@@ -428,7 +569,7 @@ def _refine_extremum(
     d = a + invphi * (b - a)
     fc, fd = value(c), value(d)
     for _ in range(80):
-        if abs(b - a) < tol:
+        if abs(b - a) < _EDGE_PHI_TOL:
             break
         if fc > fd:
             b, d, fd = d, c, fc
@@ -438,9 +579,7 @@ def _refine_extremum(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = value(d)
-    best_phi = c if fc > fd else d
-    # Final point carries the full stability verdict (probes skip it).
-    return point_at(best_phi, with_stability=True)
+    return cache[c if fc > fd else d]
 
 
 def predict_lock_range(
@@ -593,30 +732,24 @@ def predict_lock_range(
         # Extremal stable tank phases -> lock-range edges; refine around each.
         def refine_edge(sign: float) -> LockRangePoint:
             best = max(stable, key=lambda p: sign * p.phi_d)
-            neighbours = sorted(
-                samples, key=lambda p: abs(np.angle(np.exp(1j * (p.phi - best.phi))))
-            )[:5]
-            phi_lo = min(p.phi for p in neighbours)
-            phi_hi = max(p.phi for p in neighbours)
-            if phi_hi - phi_lo < 1e-12:
+            phis, _ = _edge_bracket(samples, best)
+            if phis[-1] - phis[0] < 1e-12:
                 return best
             refined = _refine_extremum(
-                df,
-                tank,
-                phi_lo,
-                phi_hi,
-                best.amplitude,
-                amplitude_window,
-                sign,
-                evaluate=evaluate,
+                df, tank, phis[0], phis[-1], best.amplitude, amplitude_window, sign
             )
             if refined is None or sign * refined.phi_d < sign * best.phi_d:
                 return best
             return refined
 
         with timed("edge-refine"):
-            edge_low = refine_edge(+1.0)  # largest positive phi_d -> lowest freq
-            edge_high = refine_edge(-1.0)  # most negative phi_d -> highest freq
+            if evaluate is not None:
+                edge_low, edge_high = _refine_edges(
+                    df, tank, evaluate, samples, stable, amplitude_window
+                )
+            else:
+                edge_low = refine_edge(+1.0)  # largest positive phi_d -> lowest freq
+                edge_high = refine_edge(-1.0)  # most negative phi_d -> highest freq
 
         return LockRange(
             n=n,

@@ -609,9 +609,12 @@ class TwoToneSurface:
 
     Evaluations anywhere on the ``(A, phi)`` plane therefore cost *zero*
     nonlinearity calls: grid evaluations are one small matrix product, and
-    off-grid amplitudes go through a cubic spline of the coefficients
-    (the coefficients are smooth in ``A``; the interpolation error is far
-    below the describing-function tolerance on the paper's grids).
+    off-grid amplitudes read a per-row piecewise-cubic coefficient table
+    (the ``CubicSpline`` of the coefficients in ``A``, tabulated once and
+    evaluated by ``searchsorted`` plus Horner in numpy; the coefficients
+    are smooth in ``A``, so the interpolation error is far below the
+    describing-function tolerance on the paper's grids).  The same table
+    gives exact ``A``- and ``phi``-gradients of the interpolant.
 
     Instances round-trip losslessly through :meth:`to_arrays` /
     :meth:`from_arrays`, which is how the on-disk cache stores them.
@@ -627,7 +630,7 @@ class TwoToneSurface:
     n_psi: int
     tol: float
     tail: float = 0.0
-    _splines: object = field(default=None, repr=False, compare=False)
+    _tables: object = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -662,56 +665,83 @@ class TwoToneSurface:
         """``I_1`` sampled on ``(amplitudes x phis)``."""
         return self.harmonic_grid(phis, 1)
 
-    def _coeffs_at(self, a_flat: np.ndarray, row: int) -> np.ndarray:
-        """Interpolated coefficients of one harmonic row at arbitrary amplitudes.
+    def _table(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Piecewise-polynomial table of one harmonic row's coefficients.
 
-        Returns shape ``(n_points, n_k)``.  Per-row cubic splines are built
-        lazily and cached — the solver hot loops only ever query ``m = 1``,
-        so splining the full harmonic stack on every call would be an 8x
-        waste.
+        Returns ``(knots, c)`` with ``c`` of shape ``(degree + 1, n_A - 1,
+        n_k)``, highest power first: on ``[knots[i], knots[i + 1])`` the
+        row's phi-Fourier coefficients are
+        ``sum_p c[p, i] * (A - knots[i]) ** (degree - p)``.  Four or more
+        amplitudes give the not-a-knot cubic spline — its ``c`` array and
+        knots *are* the table, so evaluation reproduces the
+        ``CubicSpline`` interpolant; two or three give linear
+        interpolation, one a constant.  Built once per row and cached: the
+        solver hot loops only ever query ``m = 1``.
         """
-        if self.amplitudes.size == 1:
-            return np.repeat(self.coefficients[row], a_flat.size, axis=0)
-        if self.amplitudes.size < 4:
-            # Too few nodes for a cubic — fall back to linear interpolation.
-            out = np.empty((a_flat.size, self.k_orders.size), dtype=complex)
-            for col in range(self.k_orders.size):
-                ys = self.coefficients[row, :, col]
-                out[:, col] = np.interp(
-                    a_flat, self.amplitudes, ys.real
-                ) + 1j * np.interp(a_flat, self.amplitudes, ys.imag)
-            return out
-        if self._splines is None:
-            object.__setattr__(self, "_splines", {})
-        spline = self._splines.get(row)
-        if spline is None:
-            from scipy.interpolate import CubicSpline
+        if self._tables is None:
+            object.__setattr__(self, "_tables", {})
+        table = self._tables.get(row)
+        if table is None:
+            amps, ys = self.amplitudes, self.coefficients[row]
+            if amps.size >= 4:
+                from scipy.interpolate import CubicSpline
 
-            spline = CubicSpline(self.amplitudes, self.coefficients[row], axis=0)
-            self._splines[row] = spline
-        return spline(a_flat)
+                spline = CubicSpline(amps, ys, axis=0)
+                table = (spline.x, spline.c)
+            elif amps.size >= 2:
+                slopes = np.diff(ys, axis=0) / np.diff(amps)[:, None]
+                table = (amps, np.stack([slopes, ys[:-1]]))
+            else:
+                table = (amps, ys[None])
+            self._tables[row] = table
+        return table
 
-    def harmonic_at(self, amplitude, phi, m: int = 1) -> np.ndarray:
+    def harmonic_at(self, amplitude, phi, m: int = 1, *, grad: bool = False):
         """``I_m`` at arbitrary (broadcastable) ``(A, phi)`` points.
 
-        Off-grid amplitudes are spline-interpolated; no nonlinearity calls
-        are made.  Intended for the solver hot paths (bisection along the
-        invariant curve, stability Jacobians, golden-section edge
-        refinement).
+        Off-grid amplitudes are interpolated through the row's coefficient
+        table (:meth:`_table`): one ``searchsorted`` plus a Horner pass,
+        then the phi-Fourier sum — no nonlinearity calls and no per-call
+        spline objects.  With ``grad=True`` returns
+        ``(I_m, dI_m/dA, dI_m/dphi)``: the exact derivatives of the same
+        interpolant, which the safeguarded Newton solves and the edge
+        extremum condition in :mod:`repro.core.lockrange` use.
         """
         amplitude = np.asarray(amplitude, dtype=float)
         phi = np.asarray(phi, dtype=float)
         out_shape = np.broadcast_shapes(amplitude.shape, phi.shape)
         a_flat = np.broadcast_to(amplitude, out_shape).reshape(-1)
         p_flat = np.broadcast_to(phi, out_shape).reshape(-1)
-        coeffs = self._coeffs_at(a_flat, self._m_row(m))  # (points, n_k)
+        knots, c = self._table(self._m_row(m))
+        degree = c.shape[0] - 1
+        a_eval = a_flat
+        if degree < 3:
+            # Linear/constant tables hold the end values beyond the grid.
+            a_eval = np.clip(a_flat, knots[0], knots[-1])
+        cell = np.searchsorted(knots, a_eval, side="right") - 1
+        cell = np.clip(cell, 0, c.shape[1] - 1)
+        t = (a_eval - knots[cell])[:, None]
+        local = c[:, cell]  # (degree + 1, points, n_k)
+        coeffs = local[0]
+        for p in range(1, degree + 1):
+            coeffs = coeffs * t + local[p]
         basis = np.exp(1j * p_flat[:, None] * self.k_orders[None, :])
         metrics.inc("df.evaluations", a_flat.size, method="fft")
-        return np.einsum("pk,pk->p", coeffs, basis).reshape(out_shape)
+        value = np.einsum("pk,pk->p", coeffs, basis).reshape(out_shape)
+        if not grad:
+            return value
+        d_coeffs = np.zeros_like(coeffs)
+        for p in range(degree):
+            d_coeffs = d_coeffs * t + (degree - p) * local[p]
+        if degree < 3:
+            d_coeffs[(a_flat < knots[0]) | (a_flat > knots[-1])] = 0.0
+        d_a = np.einsum("pk,pk->p", d_coeffs, basis).reshape(out_shape)
+        d_phi = np.einsum("pk,pk->p", coeffs, 1j * self.k_orders * basis)
+        return value, d_a, d_phi.reshape(out_shape)
 
-    def i1_at(self, amplitude, phi) -> np.ndarray:
+    def i1_at(self, amplitude, phi, *, grad: bool = False):
         """``I_1`` at arbitrary ``(A, phi)`` points (see :meth:`harmonic_at`)."""
-        return self.harmonic_at(amplitude, phi, 1)
+        return self.harmonic_at(amplitude, phi, 1, grad=grad)
 
     # -- (de)serialisation ----------------------------------------------------
 
@@ -1139,15 +1169,18 @@ class TwoToneDF:
     ):
         """A fast vectorised ``I_1(A, phi)`` evaluator for the solver loops.
 
-        Returns a callable ``(amplitude, phi) -> complex ndarray`` (numpy
-        broadcasting).  With ``method="dense"`` this is the exact
-        quadrature (:meth:`i1` — the referee solver path).  With
-        ``method="fft"`` it evaluates the pre-characterised surface with
-        *zero* nonlinearity calls: a coefficient spline for converged
-        surfaces, or a bicubic spline over the (cached) dense grid when the
-        law's psi-spectrum did not converge.  Either way the evaluator is
-        smooth in both arguments, which the bisection/Newton/golden-section
-        refinements in :mod:`repro.core.lockrange` rely on.
+        Returns a callable ``(amplitude, phi, *, grad=False)`` (numpy
+        broadcasting) giving complex ``I_1``, or with ``grad=True`` the
+        triple ``(I_1, dI_1/dA, dI_1/dphi)``.  With ``method="dense"`` this
+        is the exact quadrature (:meth:`i1` — the referee solver path,
+        values only).  With ``method="fft"`` it evaluates the
+        pre-characterised surface with *zero* nonlinearity calls: the
+        surface's coefficient table (:meth:`TwoToneSurface.harmonic_at`)
+        for converged surfaces, or a bicubic spline over the (cached) dense
+        grid when the law's psi-spectrum did not converge.  That spline is
+        not periodic, so phi is wrapped into the grid's span first.  Either
+        way the evaluator is smooth in both arguments, which the Newton
+        and extremum solves in :mod:`repro.core.lockrange` rely on.
         """
         method = self.method if method is None else method
         if method not in ("fft", "dense"):
@@ -1165,15 +1198,28 @@ class TwoToneDF:
         i1 = self._dense_i1_grid(amplitudes, phis, persist=True)
         spline_re = RectBivariateSpline(amplitudes, phis, np.real(i1))
         spline_im = RectBivariateSpline(amplitudes, phis, np.imag(i1))
+        phi_lo, phi_hi = float(phis[0]), float(phis[-1])
 
-        def evaluate(amplitude, phi):
+        def evaluate(amplitude, phi, *, grad: bool = False):
             amplitude = np.asarray(amplitude, dtype=float)
             phi = np.asarray(phi, dtype=float)
             out_shape = np.broadcast_shapes(amplitude.shape, phi.shape)
             a_flat = np.broadcast_to(amplitude, out_shape).reshape(-1)
             p_flat = np.broadcast_to(phi, out_shape).reshape(-1)
-            values = spline_re.ev(a_flat, p_flat) + 1j * spline_im.ev(a_flat, p_flat)
+            outside = (p_flat < phi_lo) | (p_flat > phi_hi)
+            p_flat = np.where(
+                outside, phi_lo + np.mod(p_flat - phi_lo, 2.0 * np.pi), p_flat
+            )
+
+            def ev(**order):
+                value = spline_re.ev(a_flat, p_flat, **order) + 1j * spline_im.ev(
+                    a_flat, p_flat, **order
+                )
+                return value.reshape(out_shape)
+
             metrics.inc("df.evaluations", a_flat.size, method="fft-spline")
-            return values.reshape(out_shape)
+            if not grad:
+                return ev()
+            return ev(), ev(dx=1), ev(dy=1)
 
         return evaluate

@@ -54,7 +54,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     # SPEED bench has measured <= ~1e-6 across the paper oscillators).
     "lockrange_edges_rel_width": 1e-3,
     # Arnold-tongue symmetry about w_c: edge tank phases are mirror
-    # images and edge amplitudes match (grid + golden-section jitter,
+    # images and edge amplitudes match (grid + edge-solver jitter,
     # plus genuine higher-order asymmetry for non-odd laws).
     "symmetry_phi_d_rel": 0.05,
     "symmetry_amp_rel": 0.05,

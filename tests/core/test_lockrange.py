@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import predict_lock_range, solve_lock_states
-from repro.core.lockrange import NoLockError, lock_range_by_frequency_scan
+from repro.core.lockrange import (
+    LockRangePoint,
+    NoLockError,
+    _edge_bracket,
+    lock_range_by_frequency_scan,
+)
+from repro.core.two_tone import TwoToneSurface
 from repro.nonlin import NegativeTanh
 from repro.tank import ParallelRLC
 
@@ -146,3 +152,104 @@ class TestFrequencyScanParity:
             lock_range_by_frequency_scan(
                 tanh, tank, v_i=0.03, n=3, rel_span=1e-4, n_a=61, n_phi=121
             )
+
+
+def _sample(phi: float, phi_d: float = 0.0) -> LockRangePoint:
+    return LockRangePoint(phi=phi, amplitude=1.0, phi_d=phi_d, w_i=1.0, stable=True)
+
+
+class TestEdgeBracket:
+    def test_bracket_is_local_away_from_the_seam(self):
+        samples = [_sample(0.1 * k) for k in range(1, 60)]
+        phis, points = _edge_bracket(samples, samples[29])
+        assert phis == pytest.approx([2.8, 2.9, 3.0, 3.1, 3.2])
+        assert [p.phi for p in points] == pytest.approx(phis)
+
+    @pytest.mark.parametrize("best_phi", [0.03, 2.0 * np.pi - 0.03])
+    def test_bracket_straddling_the_seam_is_unwrapped(self, best_phi):
+        # Samples either side of phi = 0 / 2 pi: the raw min/max of the
+        # neighbours' phi would span almost the whole period.
+        phis_raw = [0.03, 0.08, 0.13, 2.0 * np.pi - 0.03, 2.0 * np.pi - 0.08, 3.0]
+        samples = [_sample(p) for p in phis_raw]
+        best = next(p for p in samples if p.phi == best_phi)
+        phis, points = _edge_bracket(samples, best)
+        assert phis[-1] - phis[0] < 0.3
+        assert phis == sorted(phis)
+        assert best_phi in phis
+        assert all(p.phi != 3.0 for p in points)
+        for phi, point in zip(phis, points):
+            assert np.exp(1j * phi) == pytest.approx(np.exp(1j * point.phi))
+
+
+#: fft-vs-dense lock-edge deviation bounds (relative to the width) from
+#: BENCH_SPEED.json (FIG10 tanh, FIG14 diffpair, FIG18 tunnel); the skewed
+#: family, which that bench does not run, takes the tanh bound.
+_EDGE_DEVIATION_BOUNDS = {
+    ("tanh", 3): 4.5e-11,
+    ("skewed", 2): 4.5e-11,
+    ("diffpair", 3): 1.2e-6,
+    ("tunnel", 3): 1.6e-9,
+}
+
+
+class TestEdgeIsTheExtremum:
+    """The batched edge solve finds the extremum of phi_d on the curve."""
+
+    @pytest.fixture(scope="class", params=sorted(_EDGE_DEVIATION_BOUNDS))
+    def family_case(self, request):
+        from repro.verify.scenarios import FAMILIES
+
+        family, n = request.param
+        nonlinearity, tank = FAMILIES[family]()
+        fast = predict_lock_range(nonlinearity, tank, v_i=0.03, n=n)
+        dense = predict_lock_range(nonlinearity, tank, v_i=0.03, n=n, method="dense")
+        return request.param, fast, dense
+
+    def test_fft_edges_match_the_dense_referee(self, family_case):
+        key, fast, dense = family_case
+        deviation = max(
+            abs(fast.injection_lower - dense.injection_lower),
+            abs(fast.injection_upper - dense.injection_upper),
+        ) / dense.width
+        assert deviation <= _EDGE_DEVIATION_BOUNDS[key]
+
+    def test_no_stable_sample_lies_beyond_an_edge(self, family_case):
+        _, fast, _ = family_case
+        stable = [p.phi_d for p in fast.samples if p.stable]
+        assert max(stable) <= fast.phi_d_at_lower
+        assert min(stable) >= fast.phi_d_at_upper
+
+    def test_edge_where_the_curve_leaves_the_amplitude_window(self):
+        # Tunnel n = 1 at V_i = 0.08: past the extreme samples the T_f = 1
+        # branch exits the amplitude window while phi_d still grows, so
+        # each edge is the branch's last solvable point, as for the referee.
+        from repro.obs import metrics
+        from repro.verify.scenarios import FAMILIES
+
+        nonlinearity, tank = FAMILIES["tunnel"]()
+        before = metrics.counter("lockrange.edge_endpoint_rule")
+        fast = predict_lock_range(nonlinearity, tank, v_i=0.08, n=1)
+        assert metrics.counter("lockrange.edge_endpoint_rule") - before == 2
+        dense = predict_lock_range(nonlinearity, tank, v_i=0.08, n=1, method="dense")
+        assert fast.injection_lower == pytest.approx(
+            dense.injection_lower, abs=1e-8 * dense.width
+        )
+        assert fast.injection_upper == pytest.approx(
+            dense.injection_upper, abs=1e-8 * dense.width
+        )
+
+    def test_warm_solve_harmonic_at_budget(self, setup, monkeypatch):
+        # A nested scalar refinement (a root solve in A per probe of a
+        # search over phi) takes about 630 calls here.
+        tanh, tank = setup
+        predict_lock_range(tanh, tank, v_i=0.03, n=3)
+        calls = []
+        original = TwoToneSurface.harmonic_at
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TwoToneSurface, "harmonic_at", counting)
+        predict_lock_range(tanh, tank, v_i=0.03, n=3)
+        assert 0 < len(calls) <= 150

@@ -176,3 +176,92 @@ class TestEvaluator:
         got = evaluate(a, p)
         want = df.i1(a, p)
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def _central_differences(evaluate, a, p, h_a=1e-6, h_p=1e-6):
+    d_a = (evaluate(a + h_a, p) - evaluate(a - h_a, p)) / (2.0 * h_a)
+    d_p = (evaluate(a, p + h_p) - evaluate(a, p - h_p)) / (2.0 * h_p)
+    return d_a, d_p
+
+
+class TestCoefficientTable:
+    """``harmonic_at`` reads a numpy table of the coefficient spline."""
+
+    @pytest.fixture(scope="class")
+    def surface(self, tanh_nonlinearity):
+        return two_tone_surface(
+            tanh_nonlinearity, np.linspace(0.4, 1.7, 40), 0.03, 3, N_SAMPLES
+        )
+
+    def test_table_equals_cubic_spline(self, surface):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(7)
+        # Interior points, the knots themselves and a little extrapolation.
+        a = np.concatenate(
+            [rng.uniform(0.35, 1.75, 200), surface.amplitudes, [0.4, 1.7]]
+        )
+        p = rng.uniform(-1.0, 2.0 * np.pi + 1.0, a.size)
+        spline = CubicSpline(surface.amplitudes, surface.coefficients[0], axis=0)
+        basis = np.exp(1j * p[:, None] * surface.k_orders[None, :])
+        want = np.einsum("pk,pk->p", spline(a), basis)
+        got = surface.harmonic_at(a, p)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_gradients_match_central_differences(self, surface):
+        a = np.asarray([0.55, 0.9712, 1.433, 1.69])
+        p = np.asarray([0.3, 2.111, 5.9, -0.4])
+        value, d_a, d_p = surface.harmonic_at(a, p, grad=True)
+        assert np.array_equal(value, surface.harmonic_at(a, p))
+        fd_a, fd_p = _central_differences(surface.i1_at, a, p)
+        assert np.max(np.abs(d_a - fd_a)) <= 1e-7 * np.max(np.abs(d_a))
+        assert np.max(np.abs(d_p - fd_p)) <= 1e-7 * np.max(np.abs(d_p))
+
+    def test_short_grids_interpolate_linearly(self, tanh_nonlinearity):
+        amplitudes = np.asarray([0.5, 0.9, 1.6])
+        surface = two_tone_surface(tanh_nonlinearity, amplitudes, 0.03, 3, N_SAMPLES)
+        a = np.asarray([0.3, 0.5, 0.7, 1.2, 1.6, 1.9])
+        p = np.full(a.size, 0.8)
+        basis = np.exp(1j * 0.8 * surface.k_orders)
+        ys = surface.coefficients[0] @ basis
+        want = np.interp(a, amplitudes, ys.real) + 1j * np.interp(
+            a, amplitudes, ys.imag
+        )
+        value, d_a, _ = surface.harmonic_at(a, p, grad=True)
+        assert np.max(np.abs(value - want)) <= 1e-14 * np.max(np.abs(want))
+        slope = (ys[2] - ys[1]) / (amplitudes[2] - amplitudes[1])
+        assert d_a[3] == pytest.approx(slope, rel=1e-12)
+        assert d_a[0] == 0.0 and d_a[-1] == 0.0
+
+
+class TestFallbackEvaluatorGradients:
+    """The non-converged (diff-pair table) evaluator's gradients and seam."""
+
+    @pytest.fixture(scope="class")
+    def evaluator(self):
+        from repro.experiments.circuits import diffpair_oscillator
+
+        setup = diffpair_oscillator()
+        df = TwoToneDF(setup.nonlinearity, 0.03, 3, n_samples=256)
+        amplitudes = np.linspace(0.15, 0.7, 31)
+        assert not df.surface(amplitudes).converged
+        half_cell = np.pi / 60
+        phis = np.linspace(half_cell, 2.0 * np.pi + half_cell, 61)
+        return df.i1_evaluator(amplitudes, phis)
+
+    def test_gradients_match_central_differences(self, evaluator):
+        a = np.asarray([0.31, 0.4444, 0.52, 0.61])
+        p = np.asarray([0.4, 1.7, 3.3, 5.1])
+        value, d_a, d_p = evaluator(a, p, grad=True)
+        assert np.array_equal(value, evaluator(a, p))
+        fd_a, fd_p = _central_differences(evaluator, a, p)
+        assert np.max(np.abs(d_a - fd_a)) <= 1e-6 * np.max(np.abs(d_a))
+        assert np.max(np.abs(d_p - fd_p)) <= 1e-6 * np.max(np.abs(d_p))
+
+    def test_phi_wraps_into_the_grid_span(self, evaluator):
+        a = np.asarray([0.3, 0.45, 0.6])
+        p = np.asarray([0.02, 1.0, 6.2])
+        want = evaluator(a, p)
+        for shift in (-2.0 * np.pi, 2.0 * np.pi):
+            got = evaluator(a, p + shift)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
