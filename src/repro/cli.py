@@ -453,6 +453,7 @@ def _cmd_regress(args) -> int:
 def _cmd_cache(args) -> int:
     from repro.obs import metrics
     from repro.perf import default_cache
+    from repro.perf.surface_cache import MAX_ENTRIES
 
     cache = default_cache()
     if args.clear:
@@ -460,7 +461,7 @@ def _cmd_cache(args) -> int:
         print(f"cache cleared: {removed} record(s) removed from {cache.root}")
         return 0
     print(f"cache root: {cache.root}")
-    print(f"records on disk: {len(cache)} (max {cache.max_entries})")
+    print(f"records on disk: {len(cache)} (max {MAX_ENTRIES})")
     coverage = cache.fingerprint_coverage()
     current = coverage["records"] - coverage["legacy"]
     print(
@@ -677,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--serve",
         action="store_true",
         help="run the service-layer chaos suite instead (worker kills, "
-        "stalls, queue floods, corrupt shards, malformed specs) against a "
+        "stalls, queue floods, corrupt cache records, malformed specs) against a "
         "live repro-serve instance",
     )
     p_faults.set_defaults(func=_cmd_faults)

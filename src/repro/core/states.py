@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["enumerate_states", "enumerate_states_batch", "state_index_of_phase"]
+__all__ = ["enumerate_states", "state_index_of_phase"]
 
 
 def enumerate_states(
@@ -57,42 +57,6 @@ def enumerate_states(
     k = np.arange(n)
     psi = (injection_phase - phi_lock + 2.0 * np.pi * k) / n
     return np.sort(np.mod(psi, 2.0 * np.pi))
-
-
-def enumerate_states_batch(
-    phi_locks: np.ndarray,
-    n: int,
-    injection_phase: float = 0.0,
-) -> np.ndarray:
-    """Vectorised :func:`enumerate_states` over many lock phases at once.
-
-    One sweep row typically carries one lock phase per grid point; this
-    produces the full ``(points, n)`` physical-state table in a single
-    array expression instead of a Python loop.  Row ``r`` equals
-    ``enumerate_states(phi_locks[r], n, injection_phase)`` exactly.
-
-    Parameters
-    ----------
-    phi_locks:
-        1-D array of relative lock phases.
-    n, injection_phase:
-        As in :func:`enumerate_states`.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(len(phi_locks), n)``; each row sorted ascending in
-        ``[0, 2 pi)``.
-    """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    n = int(n)
-    phi_locks = np.atleast_1d(np.asarray(phi_locks, dtype=float))
-    if phi_locks.ndim != 1:
-        raise ValueError("phi_locks must be a 1-D array of lock phases")
-    k = np.arange(n)
-    psi = (injection_phase - phi_locks[:, None] + 2.0 * np.pi * k[None, :]) / n
-    return np.sort(np.mod(psi, 2.0 * np.pi), axis=1)
 
 
 def state_index_of_phase(psi: float, states: np.ndarray) -> int:

@@ -580,9 +580,9 @@ def surface_disk_key(
 ) -> str:
     """The content address :meth:`TwoToneDF.surface` uses for this record.
 
-    Exposed so batch callers (the sweep engine's sharded cache tier) can
-    look up / deposit exactly the records the scalar solver reads and
-    writes — one key recipe, no cache aliasing between the two paths.
+    Exposed so batch callers (the sweep engine) can look up / deposit
+    exactly the records the scalar solver reads and writes in the same
+    store — one key recipe, one record per surface.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     v_max = float(np.max(np.abs(amplitudes))) + 2.0 * float(v_i)

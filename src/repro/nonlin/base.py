@@ -29,8 +29,8 @@ class CompiledLaw:
     into Python per RK stage — that callback is exactly the cost they
     exist to remove — so a nonlinearity that wants the compiled fast path
     describes itself as one of a small set of *law kinds* plus numeric
-    parameters.  The same description drives every backend (generated C,
-    numba, and the fused-numpy fallback), which keeps their arithmetic
+    parameters.  The same description drives every backend (generated C
+    and the fused-numpy fallback), which keeps their arithmetic
     in lock-step with the :meth:`Nonlinearity.__call__` referee.
 
     Attributes

@@ -9,8 +9,8 @@ integrated).  Three pieces:
 **Engine selection.**  ``"auto"`` (the default) runs the fastest available
 path — the compiled kernels of :mod:`repro.odesim.kernels` when the
 nonlinearity is kernel-compilable, the fused-numpy fallback otherwise.
-``"compiled"`` insists on a genuinely compiled backend (generated C or
-numba) and raises when none is available — use it in benchmarks so a
+``"compiled"`` insists on a genuinely compiled backend (generated C) and
+raises when none is available — use it in benchmarks so a
 missing toolchain fails loudly instead of silently measuring the fallback.
 ``"reference"`` forces the original Python-callback RK4 loop, which is the
 referee every fast path is validated against.  The process-wide default
@@ -109,7 +109,7 @@ def _kernel_backend(engine: str) -> str:
         if backend is None:
             raise RuntimeError(
                 "engine 'compiled' requested but no compiled kernel backend "
-                "is available (no working C compiler and no numba); use "
+                "is available (no working C compiler); use "
                 "engine 'auto' for the fused-numpy fallback"
             )
         return backend

@@ -17,9 +17,6 @@ Backends, best first:
     cached under the same cache root as the describing-function surfaces
     (``~/.cache/repro-shil/kernels`` by default), keyed by a hash of the
     generated source, so the compiler runs at most once per source version.
-``"numba"``
-    ``@numba.njit`` twin of the C loop.  Gated on ``import numba`` — the
-    module must work (and fall through) on machines without it.
 ``"numpy"``
     Fused in-place vectorised stepper.  Works for *any* nonlinearity via
     its Python ``__call__`` (no :class:`CompiledLaw` needed), so it is the
@@ -288,149 +285,6 @@ def _load_c_library() -> ctypes.CDLL | None:
 
 
 # --------------------------------------------------------------------------
-# Numba backend (gated on import)
-# --------------------------------------------------------------------------
-
-_numba_steppers: dict = {}
-_numba_failed = False
-
-
-def _have_numba() -> bool:
-    global _numba_failed
-    if _numba_failed:
-        return False
-    try:
-        import numba  # noqa: F401
-        return True
-    except Exception:
-        _numba_failed = True
-        return False
-
-
-def _numba_chunk(kind: str):
-    """``njit``-compiled twin of ``rk4_<kind>``; ``None`` if numba missing."""
-    if kind in _numba_steppers:
-        return _numba_steppers[kind]
-    if not _have_numba():
-        return None
-    import math
-
-    import numba
-
-    nj = numba.njit(cache=False, fastmath=False)
-
-    if kind == "tanh":
-        @nj
-        def law(x, p, kx, ky):
-            return -p[3] * math.tanh(p[2] * x / p[3])
-    elif kind == "cubic":
-        @nj
-        def law(x, p, kx, ky):
-            return -p[2] * x + p[3] * x * x * x
-    elif kind == "pwl":
-        @nj
-        def law(x, p, kx, ky):
-            vk = p[3]
-            cx = -vk if x < -vk else (vk if x > vk else x)
-            return -p[2] * cx
-    elif kind == "tunnel":
-        @nj
-        def law(x, p, kx, ky):
-            ex = abs(x / p[6]) ** p[5]
-            if ex > 200.0:
-                ex = 200.0
-            de = x / (p[3] * p[4])
-            if de > 200.0:
-                de = 200.0
-            elif de < -200.0:
-                de = -200.0
-            return (x / p[7]) * math.exp(-ex) + p[2] * (math.exp(de) - 1.0)
-    elif kind == "table":
-        @nj
-        def law(x, p, kx, ky):
-            nt = kx.size
-            if x <= kx[0]:
-                return ky[0] + p[2] * (x - kx[0])
-            if x >= kx[nt - 1]:
-                return ky[nt - 1] + p[3] * (x - kx[nt - 1])
-            lo, hi = 0, nt - 1
-            while hi - lo > 1:
-                mid = (lo + hi) >> 1
-                if kx[mid] <= x:
-                    lo = mid
-                else:
-                    hi = mid
-            s = (ky[lo + 1] - ky[lo]) / (kx[lo + 1] - kx[lo])
-            return ky[lo] + s * (x - kx[lo])
-    else:  # pragma: no cover - guarded by LAW_KINDS
-        raise ValueError(f"unknown law kind {kind!r}")
-
-    @nj
-    def pulse_at(t, pt0, pt1, pcur):
-        ip = 0.0
-        for k in range(pt0.size):
-            if pt0[k] <= t < pt1[k]:
-                ip += pcur[k]
-        return ip
-
-    @nj
-    def chunk(v, il, w, step0, h, n_steps, v_i2, phase, p, kx, ky,
-              pt0, pt1, pcur, inv_c, inv_l, inv_rc, out_v, out_il, write_out):
-        batch = v.size
-        half = 0.5 * h
-        sixth = h / 6.0
-        vs = p[0]
-        ish = p[1]
-        n_pulses = pt0.size
-        for s in range(n_steps):
-            t = (step0 + s) * h
-            t2 = t + half
-            t4 = t + h
-            ip1 = ip2 = ip4 = 0.0
-            if n_pulses:
-                ip1 = pulse_at(t, pt0, pt1, pcur)
-                ip2 = pulse_at(t2, pt0, pt1, pcur)
-                ip4 = pulse_at(t4, pt0, pt1, pcur)
-            for j in range(batch):
-                vv = v[j]
-                ii = il[j]
-                wj = w[j]
-
-                vt = vv + v_i2 * math.cos(wj * t + phase)
-                dv1 = -vv * inv_rc - (ii + (law(vt + vs, p, kx, ky) - ish) - ip1) * inv_c
-                di1 = vv * inv_l
-
-                av = vv + half * dv1
-                ai = ii + half * di1
-                vt = av + v_i2 * math.cos(wj * t2 + phase)
-                dv2 = -av * inv_rc - (ai + (law(vt + vs, p, kx, ky) - ish) - ip2) * inv_c
-                di2 = av * inv_l
-
-                av = vv + half * dv2
-                ai = ii + half * di2
-                vt = av + v_i2 * math.cos(wj * t2 + phase)
-                dv3 = -av * inv_rc - (ai + (law(vt + vs, p, kx, ky) - ish) - ip2) * inv_c
-                di3 = av * inv_l
-
-                av = vv + h * dv3
-                ai = ii + h * di3
-                vt = av + v_i2 * math.cos(wj * t4 + phase)
-                dv4 = -av * inv_rc - (ai + (law(vt + vs, p, kx, ky) - ish) - ip4) * inv_c
-                di4 = av * inv_l
-
-                vv = vv + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-                ii = ii + sixth * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
-                v[j] = vv
-                il[j] = ii
-                if write_out:
-                    out_v[s, j] = vv
-                    out_il[s, j] = ii
-
-    _numba_steppers[kind] = chunk
-    return chunk
-
-
-# --------------------------------------------------------------------------
 # Fused-numpy fallback (any Python nonlinearity)
 # --------------------------------------------------------------------------
 
@@ -552,12 +406,10 @@ _EMPTY = np.empty(0)
 
 
 def best_compiled_backend() -> str | None:
-    """The fastest *compiled* backend usable right now (``"c"``/``"numba"``),
-    or ``None`` when only the numpy fallback is available."""
+    """The compiled backend usable right now (``"c"``), or ``None`` when
+    only the numpy fallback is available."""
     if _load_c_library() is not None:
         return "c"
-    if _have_numba():
-        return "numba"
     return None
 
 
@@ -566,8 +418,6 @@ def available_backends() -> tuple[str, ...]:
     out = []
     if _load_c_library() is not None:
         out.append("c")
-    if _have_numba():
-        out.append("numba")
     out.append("numpy")
     return tuple(out)
 
@@ -590,11 +440,11 @@ def build_stepper(
 
     - ``"auto"`` — best compiled backend when the law is compilable, else
       the fused-numpy fallback;
-    - ``"c"`` / ``"numba"`` — force that backend, raising ``RuntimeError``
-      when it is unavailable or the law is not compilable;
+    - ``"c"`` — force the C backend, raising ``RuntimeError`` when it is
+      unavailable or the law is not compilable;
     - ``"numpy"`` — force the fallback (always available).
     """
-    if backend not in ("auto", "c", "numba", "numpy"):
+    if backend not in ("auto", "c", "numpy"):
         raise ValueError(f"unknown kernel backend {backend!r}")
 
     law = nonlinearity.compiled_law()
@@ -606,7 +456,7 @@ def build_stepper(
     choice = backend
     if choice == "auto":
         choice = (best_compiled_backend() or "numpy") if law is not None else "numpy"
-    if choice in ("c", "numba") and law is None:
+    if choice == "c" and law is None:
         raise RuntimeError(
             f"nonlinearity {nonlinearity.name!r} has no CompiledLaw; "
             "only the 'numpy' backend can run it"
@@ -634,43 +484,26 @@ def build_stepper(
     else:
         kx = ky = _EMPTY
 
-    if choice == "c":
-        lib = _load_c_library()
-        if lib is None:
-            raise RuntimeError("C kernel backend unavailable (no working compiler)")
-        fn = getattr(lib, f"rk4_{law.kind}")
-        n_pulses = len(pulse_list)
-        nt = kx.size
-
-        def step(v, il, w, step0, n_steps, out_v=None, out_il=None):
-            fn(
-                v.size, _ptr(v), _ptr(il),
-                int(step0), h, int(n_steps),
-                _ptr(w), v_i2, phase,
-                _ptr(params),
-                _ptr(kx) if nt else None, _ptr(ky) if nt else None, nt,
-                n_pulses,
-                _ptr(pt0) if n_pulses else None,
-                _ptr(pt1) if n_pulses else None,
-                _ptr(pcur) if n_pulses else None,
-                inv_c, inv_l, inv_rc,
-                _ptr(out_v), _ptr(out_il), 1 if out_v is not None else 0,
-            )
-
-        return KernelStepper(backend="c", law_kind=law.kind, step=step)
-
-    # numba
-    chunk = _numba_chunk(law.kind)
-    if chunk is None:
-        raise RuntimeError("numba backend unavailable (import numba failed)")
-    dummy = np.empty((0, 0))
+    lib = _load_c_library()
+    if lib is None:
+        raise RuntimeError("C kernel backend unavailable (no working compiler)")
+    fn = getattr(lib, f"rk4_{law.kind}")
+    n_pulses = len(pulse_list)
+    nt = kx.size
 
     def step(v, il, w, step0, n_steps, out_v=None, out_il=None):
-        write = out_v is not None
-        chunk(
-            v, il, w, int(step0), h, int(n_steps), v_i2, phase,
-            params, kx, ky, pt0, pt1, pcur, inv_c, inv_l, inv_rc,
-            out_v if write else dummy, out_il if write else dummy, write,
+        fn(
+            v.size, _ptr(v), _ptr(il),
+            int(step0), h, int(n_steps),
+            _ptr(w), v_i2, phase,
+            _ptr(params),
+            _ptr(kx) if nt else None, _ptr(ky) if nt else None, nt,
+            n_pulses,
+            _ptr(pt0) if n_pulses else None,
+            _ptr(pt1) if n_pulses else None,
+            _ptr(pcur) if n_pulses else None,
+            inv_c, inv_l, inv_rc,
+            _ptr(out_v), _ptr(out_il), 1 if out_v is not None else 0,
         )
 
-    return KernelStepper(backend="numba", law_kind=law.kind, step=step)
+    return KernelStepper(backend="c", law_kind=law.kind, step=step)

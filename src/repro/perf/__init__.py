@@ -8,10 +8,11 @@ package supplies the plumbing that makes that true across processes:
 * :mod:`repro.perf.fingerprint` — content-addressed identity for
   nonlinearities (a hash of the sampled I/V content, not of the Python
   object), plus stable hashes for grid arrays;
-* :mod:`repro.perf.surface_cache` — an on-disk ``.npz`` store for
+* :mod:`repro.perf.surface_cache` — the one on-disk ``.npz`` store for
   :class:`~repro.core.two_tone.TwoToneSurface` records, keyed by the
   fingerprint/grid hashes, so repeated ``characterize()`` / isoline /
-  lock-range calls warm-start across processes and CLI runs;
+  lock-range calls and sweeps warm-start across processes and CLI runs
+  (sweeps build their misses under in-process single-flight);
 * :mod:`repro.perf.timers` — near-zero-overhead phase timers and the
   machine-readable ``BENCH_*.json`` emitter behind the CLI ``--profile``
   flag.
@@ -23,7 +24,6 @@ from repro.perf.fingerprint import (
     nonlinearity_fingerprint,
     payload_fingerprint,
 )
-from repro.perf.sharded_cache import ShardedSurfaceCache
 from repro.perf.surface_cache import SurfaceCache, cache_disabled, default_cache
 from repro.perf.timers import (
     PhaseTimer,
@@ -40,7 +40,6 @@ __all__ = [
     "payload_fingerprint",
     "cache_disabled",
     "SurfaceCache",
-    "ShardedSurfaceCache",
     "default_cache",
     "PhaseTimer",
     "Stopwatch",

@@ -1,382 +1,14 @@
-"""Sharded surface-cache tier for the batch sweep engine.
+"""Former name of the sweep engine's surface store.
 
-The sweep engine groups grid points by (oscillator family, n, Q-scale)
-and characterises each group's surfaces together.  This tier gives every
-group its own shard — a :class:`~repro.perf.surface_cache.SurfaceCache`
-rooted at ``<root>/<shard>/`` — so sweep traffic neither competes with
-the process-wide default cache's LRU bound nor interleaves unrelated
-records in one directory, and adds the two things the disk tier lacks:
-
-* an **in-process LRU** over deserialised records, bounded by a byte
-  budget, so the hot surfaces of a sweep are handed back without paying
-  ``np.load`` again; and
-* **single-flight locking**, so concurrent sweep workers asking for the
-  same cold surface produce exactly one characterisation — the first
-  caller builds while the rest wait on its flight and then re-probe.
-
-Metrics: ``cache.lru_hits`` / ``cache.lru_misses`` / ``cache.lru_evictions``
-count the in-process tier, ``cache.singleflight_builds`` /
-``cache.singleflight_waits`` count stampede suppression; the underlying
-disk traffic keeps the existing ``cache.hits`` / ``cache.misses`` /
-``cache.puts`` / ``cache.corrupt`` counters (corrupt records are
-quarantined by the shard exactly as in the flat cache — a ``.corrupt``
-file never wedges a sweep, it just recomputes).
+Sweeps now read and write the one flat store,
+:class:`~repro.perf.surface_cache.SurfaceCache`, through its
+``get_or_build_many``.  ``ShardedSurfaceCache`` remains only as an alias
+of that class for external tooling that still imports it; new code
+imports :class:`~repro.perf.surface_cache.SurfaceCache`.
 """
 
-from __future__ import annotations
-
-import os
-import pathlib
-import threading
-from collections import OrderedDict
-
-import numpy as np
-
-from repro.obs import metrics
-from repro.perf.fingerprint import payload_fingerprint
-from repro.perf.surface_cache import (
-    SCHEMA_VERSION,
-    SurfaceCache,
-    _default_root,
-    cache_disabled,
-)
+from repro.perf.surface_cache import SurfaceCache
 
 __all__ = ["ShardedSurfaceCache"]
 
-_DEFAULT_LRU_BYTES = 256 * 2**20  # 256 MiB of deserialised surfaces
-_DEFAULT_SHARD_ENTRIES = 128
-#: How long a waiter trusts another caller's single-flight latch before
-#: assuming the leader died without releasing it (a killed worker thread,
-#: an interpreter-level cancellation that skipped the ``finally``) and
-#: taking the build over itself.  Generous against real build times; the
-#: takeover only costs a duplicate build, never correctness (disk puts
-#: are atomic).
-_DEFAULT_FLIGHT_TIMEOUT_S = 30.0
-
-
-def _payload_nbytes(arrays: dict[str, np.ndarray]) -> int:
-    return int(sum(np.asarray(a).nbytes for a in arrays.values()))
-
-
-class ShardedSurfaceCache:
-    """Per-shard disk caches plus a shared in-process LRU with single-flight.
-
-    Parameters
-    ----------
-    root:
-        Directory holding the shard subdirectories; defaults to
-        ``<surface-cache root>/sweep-shards`` (same ``REPRO_CACHE_DIR`` /
-        XDG resolution as the flat cache, same ``REPRO_NO_CACHE`` kill
-        switch — the in-process LRU honours it too).
-    max_entries_per_shard:
-        Disk LRU bound applied to each shard independently.
-    lru_bytes:
-        Byte budget of the in-process record LRU (0 disables it).
-    """
-
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        *,
-        max_entries_per_shard: int = _DEFAULT_SHARD_ENTRIES,
-        lru_bytes: int = _DEFAULT_LRU_BYTES,
-        flight_timeout_s: float = _DEFAULT_FLIGHT_TIMEOUT_S,
-    ):
-        self.root = (
-            pathlib.Path(root)
-            if root is not None
-            else _default_root() / "sweep-shards"
-        )
-        if max_entries_per_shard < 1:
-            raise ValueError("max_entries_per_shard must be >= 1")
-        if lru_bytes < 0:
-            raise ValueError("lru_bytes must be >= 0")
-        if flight_timeout_s <= 0:
-            raise ValueError("flight_timeout_s must be > 0")
-        self.max_entries_per_shard = int(max_entries_per_shard)
-        self.lru_bytes = int(lru_bytes)
-        self.flight_timeout_s = float(flight_timeout_s)
-        self._shards: dict[str, SurfaceCache] = {}
-        # In-process LRU: (shard, key) -> (arrays, meta, nbytes).
-        self._lru: OrderedDict[tuple[str, str], tuple[dict, dict, int]] = (
-            OrderedDict()
-        )
-        self._lru_total = 0
-        # Single-flight registry: (shard, key) -> Event set when the
-        # leader's build (or failure) completes.
-        self._flights: dict[tuple[str, str], threading.Event] = {}
-        self._mutex = threading.Lock()
-
-    # -- shard plumbing -------------------------------------------------------
-
-    @staticmethod
-    def _check_shard(shard: str) -> None:
-        if not shard or not all(
-            c.isalnum() or c in "-_." for c in shard
-        ) or shard.startswith("."):
-            raise ValueError(
-                f"shard names must be filesystem-safe slugs, got {shard!r}"
-            )
-
-    def shard(self, shard: str) -> SurfaceCache:
-        """The per-group disk cache backing one shard (created lazily)."""
-        self._check_shard(shard)
-        with self._mutex:
-            cache = self._shards.get(shard)
-            if cache is None:
-                cache = SurfaceCache(
-                    self.root / shard, max_entries=self.max_entries_per_shard
-                )
-                self._shards[shard] = cache
-            return cache
-
-    def shards(self) -> list[str]:
-        """Shard names present on disk (plus any opened in-process)."""
-        names = set(self._shards)
-        if self.root.is_dir():
-            names.update(p.name for p in self.root.iterdir() if p.is_dir())
-        return sorted(names)
-
-    # -- in-process LRU -------------------------------------------------------
-
-    def _lru_get(self, shard: str, key: str):
-        if self.lru_bytes <= 0 or cache_disabled():
-            return None
-        with self._mutex:
-            entry = self._lru.get((shard, key))
-            if entry is None:
-                metrics.inc("cache.lru_misses")
-                return None
-            self._lru.move_to_end((shard, key))
-            metrics.inc("cache.lru_hits")
-            arrays, meta, _ = entry
-            return dict(arrays), dict(meta)
-
-    def _lru_put(self, shard: str, key: str, arrays: dict, meta: dict) -> None:
-        if self.lru_bytes <= 0 or cache_disabled():
-            return
-        nbytes = _payload_nbytes(arrays)
-        if nbytes > self.lru_bytes:
-            return  # one oversized record must not flush the whole tier
-        with self._mutex:
-            old = self._lru.pop((shard, key), None)
-            if old is not None:
-                self._lru_total -= old[2]
-            self._lru[(shard, key)] = (dict(arrays), dict(meta), nbytes)
-            self._lru_total += nbytes
-            while self._lru_total > self.lru_bytes and self._lru:
-                _, (_, _, evicted_bytes) = self._lru.popitem(last=False)
-                self._lru_total -= evicted_bytes
-                metrics.inc("cache.lru_evictions")
-
-    @property
-    def lru_stats(self) -> dict[str, int]:
-        """Current in-process tier occupancy (entries, bytes)."""
-        with self._mutex:
-            return {"entries": len(self._lru), "bytes": self._lru_total}
-
-    @property
-    def inflight_count(self) -> int:
-        """Single-flight latches currently held (0 when the tier is idle).
-
-        A healthy cache returns to 0 after every batch — the concurrency
-        regression tests (and the serve readiness probe) assert on this to
-        catch leaked latches.
-        """
-        with self._mutex:
-            return len(self._flights)
-
-    # -- record I/O -----------------------------------------------------------
-
-    def get(self, shard: str, key: str):
-        """Two-tier lookup: in-process LRU first, then the shard on disk."""
-        cached = self._lru_get(shard, key)
-        if cached is not None:
-            return cached
-        record = self.shard(shard).get(key)
-        if record is None:
-            return None
-        arrays, meta = record
-        self._lru_put(shard, key, arrays, meta)
-        return arrays, meta
-
-    def put(self, shard: str, key: str, arrays: dict, meta: dict | None = None) -> None:
-        """Store through both tiers (disk write is atomic, as in the flat cache).
-
-        The in-process copy carries the same stamped meta the disk record
-        does (schema version and payload fingerprint), so both tiers hand
-        back identical ``(arrays, meta)`` records.
-        """
-        self.shard(shard).put(key, arrays, meta)
-        full_meta = {
-            "schema": SCHEMA_VERSION,
-            "fingerprint": payload_fingerprint(arrays),
-            **(meta or {}),
-        }
-        self._lru_put(shard, key, arrays, full_meta)
-
-    # -- single-flight --------------------------------------------------------
-
-    def _acquire_flight(self, shard: str, key: str) -> threading.Event | None:
-        """Return ``None`` when this caller leads; else the event to wait on."""
-        with self._mutex:
-            event = self._flights.get((shard, key))
-            if event is not None:
-                metrics.inc("cache.singleflight_waits")
-                return event
-            self._flights[(shard, key)] = threading.Event()
-            return None
-
-    def _release_flight(self, shard: str, key: str) -> None:
-        with self._mutex:
-            event = self._flights.pop((shard, key), None)
-        if event is not None:
-            event.set()
-
-    def _await_flight(self, shard: str, key: str, event: threading.Event) -> None:
-        """Wait on another caller's flight, with a leaked-latch backstop.
-
-        Normally the leader's ``finally`` releases the flight even when its
-        build raises.  But a leader that dies *without* unwinding (a worker
-        thread killed by its host process, an interpreter shutdown racing
-        the build) would otherwise wedge every waiter forever on a latch
-        nobody will ever set.  After ``flight_timeout_s`` the waiter stops
-        trusting the latch: if it is still the registered flight, the
-        waiter evicts it (waking any other waiters parked on it) and
-        returns, at which point the caller's re-probe loop elects a new
-        leader.  The cost of a wrong guess — a slow-but-alive leader — is
-        one duplicate build against an atomic disk put, never corruption.
-        """
-        if event.wait(self.flight_timeout_s):
-            return
-        with self._mutex:
-            if self._flights.get((shard, key)) is event:
-                del self._flights[(shard, key)]
-                metrics.inc("cache.singleflight_takeovers")
-        # Wake any other waiters parked behind the same presumed-dead
-        # leader so they re-probe too instead of waiting out their own
-        # full timeouts.
-        event.set()
-
-    def get_or_build(self, shard: str, key: str, builder):
-        """Fetch a record, building it at most once across threads.
-
-        ``builder()`` must return ``(arrays, meta)``; the leader stores the
-        result through both tiers before releasing its flight, so waiters
-        find it with a plain :meth:`get`.  If the leader's build raises,
-        the flight is released and a waiter takes over the build — a
-        failed build never wedges the key.
-        """
-        while True:
-            record = self.get(shard, key)
-            if record is not None:
-                return record
-            event = self._acquire_flight(shard, key)
-            if event is not None:
-                self._await_flight(shard, key, event)
-                continue  # re-probe: leader stored it (or failed; we lead next)
-            try:
-                record = self.get(shard, key)  # lost race: stored before our flight
-                if record is None:
-                    metrics.inc("cache.singleflight_builds")
-                    arrays, meta = builder()
-                    self.put(shard, key, arrays, meta)
-                    # Prefer the canonical stored form; fall back to the
-                    # equivalent in-memory stamp when caching is disabled.
-                    stored = self.get(shard, key)
-                    record = stored if stored is not None else (
-                        arrays,
-                        {
-                            "schema": SCHEMA_VERSION,
-                            "fingerprint": payload_fingerprint(arrays),
-                            **(meta or {}),
-                        },
-                    )
-                return record
-            finally:
-                self._release_flight(shard, key)
-
-    def get_or_build_many(self, shard: str, items: dict[str, object], builder_many):
-        """Batched :meth:`get_or_build` — one stacked build for all misses.
-
-        Parameters
-        ----------
-        shard:
-            Shard the records belong to.
-        items:
-            Mapping of cache key to an opaque per-item token (whatever the
-            builder needs to identify the item — e.g. a ``v_i`` value).
-        builder_many:
-            Called once with the list of tokens still missing after the
-            flights are held; must return ``{key: (arrays, meta)}`` for
-            exactly those keys.
-
-        Returns
-        -------
-        dict
-            ``{key: (arrays, meta)}`` for every requested key.
-
-        Flights for the missing keys are acquired in sorted-key order (a
-        deterministic order cannot deadlock against another batch doing
-        the same), each key is re-probed once its flight is held, and the
-        still-missing remainder is built in ONE ``builder_many`` call —
-        this is what lets a sweep characterise a whole injection grid in
-        one stacked FFT pass even with concurrent workers.
-        """
-        results: dict[str, tuple[dict, dict]] = {}
-        missing: list[str] = []
-        for key in items:
-            record = self.get(shard, key)
-            if record is not None:
-                results[key] = record
-            else:
-                missing.append(key)
-        if not missing:
-            return results
-
-        held: list[str] = []
-        try:
-            for key in sorted(missing):
-                while True:
-                    event = self._acquire_flight(shard, key)
-                    if event is None:
-                        held.append(key)
-                        break
-                    self._await_flight(shard, key, event)
-                # Another flight may have stored it while we waited.
-                record = self.get(shard, key)
-                if record is not None:
-                    results[key] = record
-                    self._release_flight(shard, key)
-                    held.remove(key)
-            to_build = [key for key in missing if key in held]
-            if to_build:
-                metrics.inc("cache.singleflight_builds", len(to_build))
-                built = builder_many([items[key] for key in to_build])
-                unexpected = set(built) - set(to_build)
-                if unexpected:
-                    raise ValueError(
-                        f"builder_many returned unrequested keys: {sorted(unexpected)}"
-                    )
-                for key in to_build:
-                    if key not in built:
-                        raise ValueError(f"builder_many omitted key {key!r}")
-                    arrays, meta = built[key]
-                    self.put(shard, key, arrays, meta)
-                    stored = self.get(shard, key)
-                    results[key] = (
-                        stored
-                        if stored is not None
-                        else (
-                            arrays,
-                            {
-                                "schema": SCHEMA_VERSION,
-                                "fingerprint": payload_fingerprint(arrays),
-                                **(meta or {}),
-                            },
-                        )
-                    )
-        finally:
-            for key in held:
-                self._release_flight(shard, key)
-        return results
+ShardedSurfaceCache = SurfaceCache

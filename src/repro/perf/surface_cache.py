@@ -25,9 +25,24 @@ Setting ``REPRO_NO_CACHE=1`` disables reads and writes globally (every
 lookup misses, every store is a no-op) — useful for benchmarking the cold
 path and in sandboxed CI.
 
-Eviction: the store is bounded by ``max_entries`` (default 512).  When a
+Eviction: the store is bounded by :data:`MAX_ENTRIES` records.  When a
 put would exceed the bound the oldest records by modification time are
 removed — access refreshes the mtime, so this is an LRU in practice.
+
+One store serves every caller: the scalar solver's ``get``/``put`` and
+the sweep engine's batched :meth:`SurfaceCache.get_or_build_many` read
+and write the same records under the same keys, so a scalar solve after
+a sweep (or the reverse) is a hit.  ``get_or_build_many`` adds
+**single-flight** builds: concurrent callers in one process that miss
+the same key produce exactly one build — the first caller builds while
+the rest wait on its flight and then re-probe.  There is no
+single-flight across processes; two processes may build the same record
+at once, which is safe because puts are atomic.
+
+Metrics: ``cache.hits`` / ``cache.misses`` / ``cache.puts`` /
+``cache.corrupt`` count disk traffic; ``cache.singleflight_builds`` /
+``cache.singleflight_waits`` / ``cache.singleflight_takeovers`` count
+stampede suppression.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ import json
 import os
 import pathlib
 import tempfile
+import threading
 
 import numpy as np
 
@@ -49,7 +65,16 @@ _log = get_logger(__name__)
 #: Bump when the on-disk record layout changes; old records then miss.
 SCHEMA_VERSION = 1
 
-_DEFAULT_MAX_ENTRIES = 512
+#: Bound on the number of records kept on disk (the LRU eviction limit).
+MAX_ENTRIES = 512
+
+#: How long a waiter trusts another caller's single-flight latch before
+#: assuming the leader died without releasing it (a killed worker thread,
+#: an interpreter-level cancellation that skipped the ``finally``) and
+#: taking the build over itself.  Generous against real build times; the
+#: takeover only costs a duplicate build, never correctness (disk puts
+#: are atomic).
+FLIGHT_TIMEOUT_S = 30.0
 
 
 def cache_disabled() -> bool:
@@ -79,26 +104,20 @@ class SurfaceCache:
     ----------
     root:
         Cache directory; resolved per the module docstring when omitted.
-    max_entries:
-        LRU bound on the number of records kept on disk.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        *,
-        max_entries: int = _DEFAULT_MAX_ENTRIES,
-    ):
+    def __init__(self, root: str | os.PathLike | None = None):
         self.root = pathlib.Path(root) if root is not None else _default_root()
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = int(max_entries)
         #: Per-instance tally of (hits, misses, puts, corrupt) — handy in
         #: benchmarks and asserted on by the fault-injection harness.  The
         #: canonical process-wide counts live in the metrics registry
         #: (``cache.hits`` etc. — see :meth:`_count`) and feed
         #: ``repro cache --stats`` and ``OBS_REPORT.json``.
         self.stats = {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
+        # Single-flight registry: key -> Event set when the leader's build
+        # (or failure) completes.
+        self._flights: dict[str, threading.Event] = {}
+        self._mutex = threading.Lock()
 
     def _count(self, stat: str) -> None:
         """Bump one cache statistic, instance-local and registry-wide."""
@@ -162,7 +181,9 @@ class SurfaceCache:
         self._count("hits")
         return arrays, meta
 
-    def put(self, key: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    def put(
+        self, key: str, arrays: dict[str, np.ndarray], meta: dict | None = None
+    ) -> dict:
         """Store a record atomically (write to a temp file, then rename).
 
         Every record is stamped with a ``fingerprint`` meta field — the
@@ -170,12 +191,9 @@ class SurfaceCache:
         arrays — so readers can verify the payload still hashes to what
         was computed (records written before the field existed simply
         lack it; ``schema`` is unchanged because old records stay
-        readable).
+        readable).  Returns the stamped meta, which is what :meth:`get`
+        would hand back for this record.
         """
-        if cache_disabled():
-            return
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(arrays)
         if "__meta__" in payload:
             raise ValueError("'__meta__' is a reserved payload name")
@@ -184,6 +202,10 @@ class SurfaceCache:
             "fingerprint": payload_fingerprint(arrays),
             **(meta or {}),
         }
+        if cache_disabled():
+            return full_meta
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         payload["__meta__"] = np.asarray(json.dumps(full_meta))
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".npz"
@@ -200,6 +222,7 @@ class SurfaceCache:
             raise
         self._count("puts")
         self._evict()
+        return full_meta
 
     def _quarantine(self, path: pathlib.Path, cause: Exception) -> None:
         """Move an unreadable record aside as ``<name>.corrupt``.
@@ -225,6 +248,127 @@ class SurfaceCache:
             detail=str(cause),
         )
 
+    # -- single-flight --------------------------------------------------------
+
+    @property
+    def inflight_count(self) -> int:
+        """Single-flight latches currently held (0 when the store is idle).
+
+        A healthy cache returns to 0 after every batch — the concurrency
+        regression tests assert on this to catch leaked latches.
+        """
+        with self._mutex:
+            return len(self._flights)
+
+    def _acquire_flight(self, key: str) -> threading.Event | None:
+        """Return ``None`` when this caller leads; else the event to wait on."""
+        with self._mutex:
+            event = self._flights.get(key)
+            if event is not None:
+                metrics.inc("cache.singleflight_waits")
+                return event
+            self._flights[key] = threading.Event()
+            return None
+
+    def _release_flight(self, key: str) -> None:
+        with self._mutex:
+            event = self._flights.pop(key, None)
+        if event is not None:
+            event.set()
+
+    def _await_flight(self, key: str, event: threading.Event) -> None:
+        """Wait on another caller's flight, with a leaked-latch backstop.
+
+        Normally the leader's ``finally`` releases the flight even when its
+        build raises.  But a leader that dies *without* unwinding (a worker
+        thread killed by its host process, an interpreter shutdown racing
+        the build) would otherwise wedge every waiter forever on a latch
+        nobody will ever set.  After :data:`FLIGHT_TIMEOUT_S` the waiter
+        stops trusting the latch: if it is still the registered flight, the
+        waiter evicts it (waking any other waiters parked on it) and
+        returns, at which point the caller's re-probe elects a new leader.
+        The cost of a wrong guess — a slow-but-alive leader — is one
+        duplicate build against an atomic disk put, never corruption.
+        """
+        if event.wait(FLIGHT_TIMEOUT_S):
+            return
+        with self._mutex:
+            if self._flights.get(key) is event:
+                del self._flights[key]
+                metrics.inc("cache.singleflight_takeovers")
+        # Wake any other waiters parked behind the same presumed-dead
+        # leader so they re-probe too instead of waiting out their own
+        # full timeouts.
+        event.set()
+
+    def get_or_build_many(self, items: dict[str, object], builder_many):
+        """Fetch records, building all misses in one call, once across threads.
+
+        Parameters
+        ----------
+        items:
+            Mapping of cache key to an opaque per-item token (whatever the
+            builder needs to identify the item — e.g. a ``v_i`` value).
+        builder_many:
+            Called once with the list of tokens still missing after the
+            flights are held; must return ``{key: (arrays, meta)}`` for
+            exactly those keys.
+
+        Returns
+        -------
+        dict
+            ``{key: (arrays, meta)}`` for every requested key.  Built
+            records come back as built, with the meta :meth:`put` stamped.
+
+        Flights for the missing keys are acquired in sorted-key order (a
+        deterministic order cannot deadlock against another batch doing
+        the same), each key is re-probed once its flight is held, and the
+        still-missing remainder is built in ONE ``builder_many`` call —
+        this is what lets a sweep characterise a whole injection grid in
+        one stacked FFT pass even with concurrent workers.  If the build
+        raises, every held flight is released and the next caller builds.
+        """
+        results: dict[str, tuple[dict, dict]] = {}
+        missing: list[str] = []
+        for key in items:
+            record = self.get(key)
+            if record is not None:
+                results[key] = record
+            else:
+                missing.append(key)
+        if not missing:
+            return results
+
+        held: list[str] = []
+        try:
+            for key in sorted(missing):
+                while (event := self._acquire_flight(key)) is not None:
+                    self._await_flight(key, event)
+                # Another flight may have stored it while we waited.
+                record = self.get(key)
+                if record is not None:
+                    results[key] = record
+                    self._release_flight(key)
+                else:
+                    held.append(key)
+            if held:
+                metrics.inc("cache.singleflight_builds", len(held))
+                built = builder_many([items[key] for key in held])
+                unexpected = set(built) - set(held)
+                if unexpected:
+                    raise ValueError(
+                        f"builder_many returned unrequested keys: {sorted(unexpected)}"
+                    )
+                for key in held:
+                    if key not in built:
+                        raise ValueError(f"builder_many omitted key {key!r}")
+                    arrays, meta = built[key]
+                    results[key] = (arrays, self.put(key, arrays, meta))
+        finally:
+            for key in held:
+                self._release_flight(key)
+        return results
+
     # -- maintenance ----------------------------------------------------------
 
     def _records(self) -> list[pathlib.Path]:
@@ -237,7 +381,7 @@ class SurfaceCache:
 
     def _evict(self) -> None:
         records = self._records()
-        excess = len(records) - self.max_entries
+        excess = len(records) - MAX_ENTRIES
         if excess <= 0:
             return
         records.sort(key=lambda p: p.stat().st_mtime)
@@ -301,17 +445,21 @@ class SurfaceCache:
 
 
 _DEFAULT_CACHE: SurfaceCache | None = None
+_DEFAULT_LOCK = threading.Lock()
 
 
 def default_cache() -> SurfaceCache:
     """The process-wide cache instance (created lazily).
 
-    A fresh instance is returned whenever the resolved root changed —
-    tests flip ``REPRO_CACHE_DIR`` to point at temporary directories and
-    must not keep writing into a stale root.
+    Creation happens under a module lock, so concurrent first callers
+    share one instance — and with it one single-flight registry.  A fresh
+    instance is returned whenever the resolved root changed — tests flip
+    ``REPRO_CACHE_DIR`` to point at temporary directories and must not
+    keep writing into a stale root.
     """
     global _DEFAULT_CACHE
     root = _default_root()
-    if _DEFAULT_CACHE is None or _DEFAULT_CACHE.root != root:
-        _DEFAULT_CACHE = SurfaceCache(root)
-    return _DEFAULT_CACHE
+    with _DEFAULT_LOCK:
+        if _DEFAULT_CACHE is None or _DEFAULT_CACHE.root != root:
+            _DEFAULT_CACHE = SurfaceCache(root)
+        return _DEFAULT_CACHE

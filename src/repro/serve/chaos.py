@@ -13,8 +13,9 @@ production failure, and grades the declared contract:
   throttled tenant overruns its bucket; every rejection must be a typed
   429/503 with ``Retry-After``, and every *admitted* job must still
   terminate;
-* ``serve-corrupt-cache-shard`` — a warm sweep-shard record is truncated
-  on disk; the resubmitted job must quarantine and recompute, not fail;
+* ``serve-corrupt-cache-shard`` — a warm surface record written by a
+  tongue sweep is truncated on disk; the resubmitted job must quarantine
+  and recompute, not fail;
 * ``serve-malformed-spec`` — garbage JSON, unknown kinds/fields, and an
   oversized body must all bounce as typed 400/413, never a traceback.
 
@@ -273,7 +274,7 @@ def _run_queue_flood(scenario: ServeScenario) -> FaultOutcome:
 
 
 def _run_corrupt_cache_shard(scenario: ServeScenario) -> FaultOutcome:
-    """Truncate a warm sweep-shard record -> quarantine + recompute."""
+    """Truncate a warm sweep surface record -> quarantine + recompute."""
     config = ServeConfig(
         workers=1, queue_limit=4, allow_chaos=True, tenants={"default": _GENEROUS}
     )
@@ -295,19 +296,19 @@ def _run_corrupt_cache_shard(scenario: ServeScenario) -> FaultOutcome:
             return _outcome(
                 scenario, False, f"warm-up tongue job failed: {status} {warm}"
             )
-        records = sorted(tmp.glob("sweep-shards/**/*.npz"))
+        records = sorted(tmp.glob("??/*.npz"))
         if not records:
             return _outcome(
-                scenario, False, "warm-up left no shard record to corrupt"
+                scenario, False, "warm-up left no surface record to corrupt"
             )
         target = records[0]
         payload = target.read_bytes()
         target.write_bytes(payload[: max(16, len(payload) // 3)])
         # A different deadline does not change the fingerprint, so resubmit
         # with a different grid point to defeat the stale-result cache and
-        # force the worker back through the corrupted shard.
+        # force the worker back through the corrupted record.
         status, again = client.submit(dict(tongue, freq_count=4), wait=True)
-        quarantined = list(tmp.glob("sweep-shards/**/*.npz.corrupt"))
+        quarantined = list(tmp.glob("??/*.npz.corrupt"))
         problems = _recovery_problems(host, client)
         ok = (
             status == 200
@@ -412,7 +413,7 @@ def serve_scenarios() -> list[ServeScenario]:
         ),
         ServeScenario(
             "serve-corrupt-cache-shard",
-            "warm sweep-shard record truncated mid-file",
+            "warm sweep surface record truncated mid-file",
             "recover",
             "cache-corruption",
             _run_corrupt_cache_shard,

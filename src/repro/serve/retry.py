@@ -1,8 +1,8 @@
 """Retry policy for transient service faults: capped exponential backoff.
 
 Only *transient* faults earn a retry — today that means a worker crash
-(the solve may well succeed on a fresh worker) and a corrupt cache shard
-(the cache tier quarantines and recomputes, so the retry is clean).  A
+(the solve may well succeed on a fresh worker) and a corrupt cache record
+(the surface store quarantines and recomputes, so the retry is clean).  A
 stall is **not** retried: the job's wall-clock budget is what the stalled
 attempt just consumed, so the honest next step is degradation, not a
 second burn.  Deterministic faults (``no-lock`` proofs, malformed specs,

@@ -202,7 +202,7 @@ def _exc_fault_kinds(exc: BaseException, primary: str) -> list[str]:
 
 
 def _run_tongue(payload: dict, progress=None) -> dict:
-    """A bounded tongue-map sweep through the batched engine + shard cache."""
+    """A bounded tongue-map sweep through the batched engine + surface store."""
     import numpy as np
 
     from repro.sweep import SweepSpec, run_sweep

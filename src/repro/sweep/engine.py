@@ -6,8 +6,9 @@ Execution model (one pass per :class:`~repro.sweep.plan.SweepGroup`):
    every member point shares the amplitude window;
 2. pre-characterise the group's whole ``V_i`` grid in **one** stacked FFT
    pass (:func:`~repro.core.two_tone.two_tone_surfaces_stacked`), routed
-   through the sharded cache tier so concurrent sweeps single-flight the
-   build and warm records are handed back without recompute;
+   through the surface store the scalar solver uses, so warm records (from
+   a sweep or a scalar solve) are read back without recompute and
+   concurrent sweeps in one process single-flight the build;
 3. run **one** lock-range solve per distinct ``V_i`` — the lock range
    does not depend on the injection frequency, so an entire tongue-map
    frequency row classifies by interval containment against its ``V_i``'s
@@ -44,7 +45,7 @@ from repro.core.two_tone import (
     two_tone_surfaces_stacked,
 )
 from repro.obs import metrics, trace
-from repro.perf.sharded_cache import ShardedSurfaceCache
+from repro.perf.surface_cache import SurfaceCache, default_cache
 from repro.robust.ladder import _recoverable_exceptions, robust_predict_lock_range
 from repro.sweep.plan import SweepGroup, build_plan
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -176,7 +177,7 @@ def _classify(point: SweepPoint, lock: LockRange | None, status: str):
 
 
 def _group_surfaces(
-    cache: ShardedSurfaceCache,
+    cache: SurfaceCache,
     group: SweepGroup,
     nonlinearity,
     amplitudes: np.ndarray,
@@ -184,11 +185,10 @@ def _group_surfaces(
 ) -> dict[float, TwoToneSurface]:
     """All the group's per-``V_i`` surfaces, stacked-building the misses.
 
-    Warm records come from the sharded cache (in-process LRU, then the
-    group's shard on disk); everything still missing is characterised in
-    one :func:`two_tone_surfaces_stacked` call under single-flight locks,
-    so concurrent sweeps of the same group build each surface exactly
-    once.
+    Warm records come from the surface store on disk; everything still
+    missing is characterised in one :func:`two_tone_surfaces_stacked` call
+    under single-flight locks, so concurrent sweeps of the same group in
+    one process build each surface exactly once.
     """
     key_of = {
         v_i: surface_disk_key(
@@ -209,7 +209,7 @@ def _group_surfaces(
             for v_i, surface in zip(missing_vis, surfaces)
         }
 
-    records = cache.get_or_build_many(group.shard, items, builder_many)
+    records = cache.get_or_build_many(items, builder_many)
     out: dict[float, TwoToneSurface] = {}
     for v_i, key in key_of.items():
         arrays, meta = records[key]
@@ -220,7 +220,7 @@ def _group_surfaces(
 def run_sweep(
     spec: SweepSpec,
     *,
-    cache: ShardedSurfaceCache | None = None,
+    cache: SurfaceCache | None = None,
     progress=None,
 ) -> SweepResult:
     """Execute a sweep through the batched engine.
@@ -230,8 +230,9 @@ def run_sweep(
     spec:
         The sweep description.
     cache:
-        Sharded surface cache to amortise pre-characterisation through;
-        a default-rooted one is created when omitted.
+        Surface store to amortise pre-characterisation through; the
+        process-wide :func:`~repro.perf.surface_cache.default_cache` when
+        omitted.
     progress:
         Optional callable ``(done_points, total_points)`` invoked after
         every finished point, so long sweeps can stream live progress
@@ -241,7 +242,7 @@ def run_sweep(
     """
     plan = build_plan(spec)
     if cache is None:
-        cache = ShardedSurfaceCache()
+        cache = default_cache()
     outcomes: dict[int, SweepOutcome] = {}
     started = time.perf_counter()
     surface_builds_before = metrics.counter("sweep.surface_builds")
@@ -264,7 +265,6 @@ def run_sweep(
                     "q_scale": group.q_scale,
                     "v_is": len(group.v_is),
                     "points": len(group.points),
-                    "shard": group.shard,
                 },
             ) as group_sp:
                 nonlinearity, tank = _materialise(group)

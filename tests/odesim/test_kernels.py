@@ -1,4 +1,4 @@
-"""Backend parity for the chunked RK4 kernels (C / numba / numpy)."""
+"""Backend parity for the chunked RK4 kernels (C / numpy)."""
 
 import numpy as np
 import pytest
@@ -75,8 +75,9 @@ class TestBackendDiscovery:
             assert available_backends() == ("numpy",)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            build_stepper(LAWS["tanh"], backend="fortran", **_stepper_kwargs(1e-9))
+        for backend in ("fortran", "numba"):
+            with pytest.raises(ValueError):
+                build_stepper(LAWS["tanh"], backend=backend, **_stepper_kwargs(1e-9))
 
 
 class TestLawCoverage:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.perf import payload_fingerprint
-from repro.perf.sharded_cache import ShardedSurfaceCache
 from repro.perf.surface_cache import SurfaceCache
 
 KEY = "ab" * 32
@@ -89,10 +88,9 @@ class TestPayloadFingerprintProperties:
     def test_stable_across_sharded_cache_roundtrip(self, arrays):
         fingerprint = payload_fingerprint(arrays)
         with tempfile.TemporaryDirectory(prefix="repro-fp-prop-") as tmp:
-            ShardedSurfaceCache(tmp).put("prop", fingerprint, arrays)
-            # A fresh instance bypasses the in-process LRU, so the record
-            # round-trips through the npz disk tier.
-            record = ShardedSurfaceCache(tmp).get("prop", fingerprint)
+            SurfaceCache(tmp).put(fingerprint, arrays)
+            # A fresh instance reads the record back from the npz file.
+            record = SurfaceCache(tmp).get(fingerprint)
             assert record is not None
             loaded, meta = record
             assert meta["fingerprint"] == fingerprint

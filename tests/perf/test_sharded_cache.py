@@ -1,19 +1,19 @@
-"""Tier-1 tests for the sharded surface-cache tier.
+"""Tier-1 tests for the surface store's batched single-flight path.
 
-The satellite contract, verbatim: two threads asking for the same
-uncharacterised shard key must produce exactly one characterisation
-(observed through the ``cache.*`` metrics), the in-process LRU must
-honour its byte budget, and a ``.corrupt`` shard must never wedge a
-sweep.
+Two threads asking for the same uncharacterised key must produce exactly
+one characterisation (observed through the ``cache.*`` metrics), built
+records must come back with the stamped meta, and a ``.corrupt`` record
+must never wedge a sweep.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.obs import metrics
-from repro.perf import ShardedSurfaceCache, payload_fingerprint
+from repro.perf import SurfaceCache, payload_fingerprint
 from repro.perf.surface_cache import SCHEMA_VERSION
 
 
@@ -24,25 +24,14 @@ def _arrays(seed: int = 0, size: int = 64) -> dict:
 
 @pytest.fixture()
 def cache(tmp_path):
-    return ShardedSurfaceCache(tmp_path / "shards")
+    return SurfaceCache(tmp_path / "store")
 
 
 class TestShardLayout:
-    def test_records_land_in_shard_dirs(self, cache, tmp_path):
-        cache.put("tanh-n3-q1", "a" * 64, _arrays(), {"v_i": 0.03})
-        cache.put("tunnel-n2-q1", "b" * 64, _arrays(1), {"v_i": 0.02})
-        assert sorted(cache.shards()) == ["tanh-n3-q1", "tunnel-n2-q1"]
-        assert (tmp_path / "shards" / "tanh-n3-q1").is_dir()
-
-    def test_rejects_path_escaping_shard_names(self, cache):
-        for bad in ("../evil", "a/b", ".hidden", ""):
-            with pytest.raises(ValueError):
-                cache.put(bad, "a" * 64, _arrays())
-
     def test_round_trip_meta_is_stamped(self, cache):
         arrays = _arrays()
-        cache.put("s", "a" * 64, arrays, {"v_i": 0.03})
-        got_arrays, meta = cache.get("s", "a" * 64)
+        cache.put("a" * 64, arrays, {"v_i": 0.03})
+        got_arrays, meta = cache.get("a" * 64)
         assert meta["schema"] == SCHEMA_VERSION
         assert meta["fingerprint"] == payload_fingerprint(arrays)
         assert meta["v_i"] == 0.03
@@ -56,16 +45,17 @@ class TestSingleFlight:
         builds_before = metrics.counter("cache.singleflight_builds")
         build_calls = []
         release = threading.Event()
+        key = "a" * 64
 
-        def builder():
+        def builder_many(tokens):
             build_calls.append(threading.get_ident())
             release.wait(timeout=5.0)
-            return _arrays(), {"v_i": 0.03}
+            return {key: (_arrays(), {"v_i": 0.03})}
 
         results = [None, None]
 
         def worker(slot):
-            results[slot] = cache.get_or_build("s", "a" * 64, builder)
+            results[slot] = cache.get_or_build_many({key: 0.03}, builder_many)[key]
 
         threads = [
             threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)
@@ -74,8 +64,6 @@ class TestSingleFlight:
             t.start()
         # Give the loser time to park on the leader's flight, then let
         # the build finish.
-        import time
-
         time.sleep(0.2)
         release.set()
         for t in threads:
@@ -96,60 +84,60 @@ class TestSingleFlight:
                 key_of[token]: (_arrays(int(token * 1000)), {"token": token})
                 for token in tokens
             }
-        cold = cache.get_or_build_many("s", items, builder_many)
+        cold = cache.get_or_build_many(items, builder_many)
         assert len(calls) == 1
         assert set(cold) == set(items)
-        warm = cache.get_or_build_many("s", items, builder_many)
+        warm = cache.get_or_build_many(items, builder_many)
         assert len(calls) == 1  # nothing rebuilt
         assert set(warm) == set(items)
+        assert len(cache) == len(items)
 
     def test_get_or_build_many_rejects_partial_builders(self, cache):
-        def builder_many(tokens):
-            return {}  # omits every requested key
+        omitting = {}  # omits every requested key
+        unrequested = {"b" * 64: (_arrays(), {})}
+        for built in (omitting, unrequested):
+            with pytest.raises(ValueError):
+                cache.get_or_build_many({"a" * 64: 1}, lambda tokens: built)
+            assert cache.inflight_count == 0
 
-        with pytest.raises((ValueError, KeyError)):
-            cache.get_or_build_many("s", {"a" * 64: 1}, builder_many)
+    def test_built_records_carry_the_stamped_meta(self, cache):
+        arrays = _arrays(3)
+        key = "a" * 64
+        built = cache.get_or_build_many(
+            {key: 0}, lambda tokens: {key: (arrays, {"v_i": 0.03})}
+        )
+        got_arrays, meta = built[key]
+        assert got_arrays is arrays  # handed back as built, not re-read
+        assert meta == cache.get(key)[1]
 
-
-class TestLru:
-    def test_byte_budget_eviction(self, tmp_path):
-        # Each record is ~8 kB; budget of 20 kB holds two.
-        cache = ShardedSurfaceCache(tmp_path / "shards", lru_bytes=20_000)
-        evictions_before = metrics.counter("cache.lru_evictions")
-        for index, key in enumerate(("a" * 64, "b" * 64, "c" * 64)):
-            cache.put("s", key, _arrays(index, size=1024))
-        stats = cache.lru_stats
-        assert stats["entries"] <= 2
-        assert stats["bytes"] <= 20_000
-        assert metrics.counter("cache.lru_evictions") > evictions_before
-
-    def test_oversized_records_bypass_lru(self, tmp_path):
-        cache = ShardedSurfaceCache(tmp_path / "shards", lru_bytes=100)
-        cache.put("s", "a" * 64, _arrays(size=1024))
-        assert cache.lru_stats["entries"] == 0
-        # Still served from disk.
-        assert cache.get("s", "a" * 64) is not None
+    def test_no_cache_switch_still_builds_and_stamps(self, cache, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        key = "a" * 64
+        built = cache.get_or_build_many(
+            {key: 0}, lambda tokens: {key: (_arrays(), {})}
+        )
+        arrays, meta = built[key]
+        assert meta["fingerprint"] == payload_fingerprint(arrays)
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        assert len(cache) == 0
 
 
 class TestCorruption:
-    def test_corrupt_shard_record_recovers(self, tmp_path):
-        # lru_bytes=0 disables the in-process tier, so every read goes
-        # to disk and actually sees the corruption.
-        cache = ShardedSurfaceCache(tmp_path / "shards", lru_bytes=0)
+    def test_corrupt_shard_record_recovers(self, cache):
         key = "a" * 64
-        cache.put("s", key, _arrays(), {"v_i": 0.03})
-        path = cache.shard("s").path_for(key)
+        cache.put(key, _arrays(), {"v_i": 0.03})
+        path = cache.path_for(key)
         path.write_bytes(b"not an npz")
-        assert cache.get("s", key) is None
+        assert cache.get(key) is None
         assert path.with_suffix(path.suffix + ".corrupt").exists()
 
-        # get_or_build recovers by rebuilding — the sweep never wedges.
+        # get_or_build_many recovers by rebuilding — the sweep never wedges.
         rebuilt = []
 
-        def builder():
+        def builder_many(tokens):
             rebuilt.append(True)
-            return _arrays(7), {"v_i": 0.03}
+            return {key: (_arrays(7), {"v_i": 0.03})}
 
-        arrays, meta = cache.get_or_build("s", key, builder)
+        arrays, meta = cache.get_or_build_many({key: 0.03}, builder_many)[key]
         assert rebuilt == [True]
         assert meta["fingerprint"] == payload_fingerprint(arrays)

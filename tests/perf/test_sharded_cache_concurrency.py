@@ -1,12 +1,12 @@
-"""Concurrency hardening for the sharded cache's single-flight tier.
+"""Concurrency hardening for the surface store's single-flight builds.
 
 The serve layer leans on ``get_or_build_many`` from worker subprocesses
 and retrying dispatchers, so the failure modes here are harsher than a
 polite builder exception: a caller cancelled mid-batch, a worker thread
 that dies without unwinding its ``finally``, a leader that simply never
-comes back.  None of them may leave the in-process LRU or the shard
-directory wedged — every latch must be released or, past
-``flight_timeout_s``, forcibly taken over by a waiter.
+comes back.  None of them may leave the store wedged — every latch must
+be released or, past ``FLIGHT_TIMEOUT_S``, forcibly taken over by a
+waiter.
 """
 
 import threading
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.obs import metrics
-from repro.perf import ShardedSurfaceCache
+from repro.perf import SurfaceCache, surface_cache
 
 
 def _arrays(seed: int = 0, size: int = 32) -> dict:
@@ -28,9 +28,20 @@ def _keys(n: int) -> list[str]:
     return [f"{i:02x}" + "f" * 62 for i in range(n)]
 
 
+FLIGHT_TIMEOUT_S = 0.2
+
+
 @pytest.fixture()
-def cache(tmp_path):
-    return ShardedSurfaceCache(tmp_path / "shards", flight_timeout_s=0.2)
+def cache(tmp_path, monkeypatch):
+    monkeypatch.setattr(surface_cache, "FLIGHT_TIMEOUT_S", FLIGHT_TIMEOUT_S)
+    return SurfaceCache(tmp_path / "store")
+
+
+def _build_one(cache, key, builder):
+    """Single-key fetch-or-build through the batched path."""
+    return cache.get_or_build_many(
+        {key: None}, lambda tokens: {key: builder()}
+    )[key]
 
 
 class TestBuilderDeathReleasesFlights:
@@ -44,35 +55,34 @@ class TestBuilderDeathReleasesFlights:
 
         with pytest.raises(RuntimeError, match="mid-build"):
             cache.get_or_build_many(
-                "s", {k: i for i, k in enumerate(keys)}, dying_builder
+                {k: i for i, k in enumerate(keys)}, dying_builder
             )
         assert cache.inflight_count == 0
 
         # The key space is not poisoned: a fresh call rebuilds everything.
         built = cache.get_or_build_many(
-            "s",
             {k: i for i, k in enumerate(keys)},
             lambda tokens: {keys[t]: (_arrays(t), {"t": t}) for t in tokens},
         )
         assert set(built) == set(keys)
         assert cache.inflight_count == 0
-        assert cache.lru_stats["entries"] == len(keys)
+        assert len(cache) == len(keys)
 
     def test_partial_put_before_death_is_kept(self, cache):
         keys = _keys(3)
 
         def half_then_die(tokens):
             # The builder managed one atomic put before dying.
-            cache.put("s", keys[0], _arrays(0), {"t": 0})
+            cache.put(keys[0], _arrays(0), {"t": 0})
             raise RuntimeError("died after one put")
 
         with pytest.raises(RuntimeError):
             cache.get_or_build_many(
-                "s", {k: i for i, k in enumerate(keys)}, half_then_die
+                {k: i for i, k in enumerate(keys)}, half_then_die
             )
         assert cache.inflight_count == 0
         # The completed record survives and is served without a rebuild.
-        record = cache.get("s", keys[0])
+        record = cache.get(keys[0])
         assert record is not None
 
 
@@ -91,7 +101,7 @@ class TestConcurrentCancellation:
 
         def leader():
             results["leader"] = cache.get_or_build_many(
-                "s", {key: 0}, slow_builder
+                {key: 0}, slow_builder
             )
 
         class Cancelled(Exception):
@@ -105,7 +115,7 @@ class TestConcurrentCancellation:
                 raise Cancelled()
 
             try:
-                cache.get_or_build_many("s", {key: 0}, cancelling_builder)
+                cache.get_or_build_many({key: 0}, cancelling_builder)
             except Cancelled:
                 pass
 
@@ -141,7 +151,7 @@ class TestConcurrentCancellation:
         def run(worker_id):
             try:
                 done.append(
-                    cache.get_or_build_many("s", items, make_builder(worker_id))
+                    cache.get_or_build_many(items, make_builder(worker_id))
                 )
             except RuntimeError as exc:
                 errors.append(exc)
@@ -158,10 +168,10 @@ class TestConcurrentCancellation:
         assert len(done) >= 3
         for batch in done:
             assert set(batch) == set(keys)
-        # The shard directory holds only parseable records (no torn files).
-        fresh = ShardedSurfaceCache(cache.root, flight_timeout_s=0.2)
+        # The store holds only parseable records (no torn files).
+        fresh = SurfaceCache(cache.root)
         for k in keys:
-            assert fresh.get("s", k) is not None
+            assert fresh.get(k) is not None
 
 
 class TestLeakedLatchTakeover:
@@ -170,13 +180,11 @@ class TestLeakedLatchTakeover:
         key = _keys(1)[0]
         # Simulate a leader that died without unwinding: acquire the
         # flight by hand and walk away.
-        assert cache._acquire_flight("s", key) is None
+        assert cache._acquire_flight(key) is None
         takeovers_before = metrics.counter("cache.singleflight_takeovers")
 
         t0 = time.monotonic()
-        record = cache.get_or_build(
-            "s", key, lambda: (_arrays(3), {"rebuilt": True})
-        )
+        record = _build_one(cache, key, lambda: (_arrays(3), {"rebuilt": True}))
         elapsed = time.monotonic() - t0
         assert record is not None
         arrays, meta = record
@@ -188,14 +196,12 @@ class TestLeakedLatchTakeover:
 
     def test_takeover_wakes_all_parked_waiters(self, cache):
         key = _keys(1)[0]
-        assert cache._acquire_flight("s", key) is None
+        assert cache._acquire_flight(key) is None
         results = []
 
         def waiter():
             results.append(
-                cache.get_or_build(
-                    "s", key, lambda: (_arrays(5), {"by": "waiter"})
-                )
+                _build_one(cache, key, lambda: (_arrays(5), {"by": "waiter"}))
             )
 
         threads = [threading.Thread(target=waiter) for _ in range(3)]
@@ -209,7 +215,7 @@ class TestLeakedLatchTakeover:
         assert len(results) == 3
         # One takeover elected a new leader; the others re-probed the
         # stored record instead of serialising three timeouts.
-        assert elapsed < 3 * cache.flight_timeout_s + 1.0
+        assert elapsed < 3 * FLIGHT_TIMEOUT_S + 1.0
         assert cache.inflight_count == 0
 
     def test_live_leader_is_not_preempted_before_timeout(self, cache):
@@ -226,14 +232,14 @@ class TestLeakedLatchTakeover:
             return _arrays(9), {}
 
         leader = threading.Thread(
-            target=lambda: cache.get_or_build("s", key, slow_build)
+            target=lambda: _build_one(cache, key, slow_build)
         )
         leader.start()
         assert in_build.wait(5.0)
         waiter_result = []
         waiter = threading.Thread(
             target=lambda: waiter_result.append(
-                cache.get_or_build("s", key, slow_build)
+                _build_one(cache, key, slow_build)
             )
         )
         waiter.start()

@@ -13,6 +13,7 @@ from repro.perf import (
     combine_keys,
     default_cache,
     nonlinearity_fingerprint,
+    surface_cache,
 )
 
 KEY_A = "ab" * 32
@@ -94,8 +95,9 @@ class TestRecordIO:
 
 
 class TestEviction:
-    def test_lru_bound(self, tmp_path):
-        cache = SurfaceCache(tmp_path, max_entries=3)
+    def test_lru_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(surface_cache, "MAX_ENTRIES", 3)
+        cache = SurfaceCache(tmp_path)
         keys = [f"{i:02d}" * 32 for i in range(5)]
         for i, key in enumerate(keys):
             cache.put(key, {"x": np.asarray([float(i)])})

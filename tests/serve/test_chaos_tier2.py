@@ -2,7 +2,7 @@
 
 Each scenario boots a real service (workers, HTTP front, isolated cache
 root), injects one failure — a worker kill, a 30 s stall against a sub-
-second deadline, a queue flood, a truncated sweep shard, garbage specs —
+second deadline, a queue flood, a truncated sweep cache record, garbage specs —
 and asserts the documented recovery: typed rejections, retries on fresh
 workers, degraded-but-meaningful answers, a clean ``/readyz`` afterwards,
 and zero unhandled exceptions.  This is the acceptance gate for the
