@@ -44,7 +44,13 @@ Sub-packages
 =====================  =====================================================
 """
 
-from repro.core import (
+import time as _time
+
+#: ``perf_counter`` when this package began importing; ``repro --profile``
+#: reports the time from here to ``main()`` as ``import_s``.
+_IMPORT_STARTED = _time.perf_counter()
+
+from repro.core import (  # noqa: E402
     FhilLock,
     LockRange,
     LockState,

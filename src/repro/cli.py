@@ -49,7 +49,8 @@ Examples
 
 ``--profile`` (before the subcommand) enables the phase timers and dumps
 a machine-readable ``BENCH_<ID>.json`` next to the working directory,
-including describing-function cache hit/miss counts.  ``locks`` and
+including describing-function cache hit/miss counts and ``import_s``,
+the time from the start of ``import repro`` to ``main()``.  ``locks`` and
 ``lockrange`` additionally accept ``--method dense`` to force the
 direct-quadrature referee instead of the FFT-factorised fast path.
 
@@ -65,9 +66,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
+import repro
 from repro.utils.units import format_si, parse_value
 
 __all__ = ["main", "build_parser"]
@@ -1062,6 +1065,7 @@ def _run_command(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    import_s = time.perf_counter() - repro._IMPORT_STARTED
     parser = build_parser()
     args = parser.parse_args(argv)
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
@@ -1093,6 +1097,7 @@ def main(argv: list[str] | None = None) -> int:
             profiler.disable()
     if args.profile:
         record = profiler.as_dict()
+        record["import_s"] = import_s
         record["exit_code"] = int(code)
         record["argv"] = raw_argv
         record["cache"] = dict(cache.stats)

@@ -63,6 +63,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -598,6 +599,59 @@ def surface_disk_key(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _not_a_knot_map(knot_bytes: bytes) -> np.ndarray:
+    """Linear map from knot-value steps to not-a-knot cubic coefficients.
+
+    For knots ``x`` (``n >= 4``, strictly increasing, passed as the bytes
+    of a float64 array) returns a read-only ``(3 * (n - 1), n - 1)``
+    matrix ``M`` such that ``(M @ np.diff(y, axis=0)).reshape(3, n - 1,
+    ...)`` stacked over ``y[:-1]`` is the piecewise-polynomial ``c`` array
+    of the not-a-knot cubic spline through ``(x, y)``, highest power
+    first: the layout and the equations of ``scipy.interpolate.
+    CubicSpline``.  The coefficients are linear in ``y`` and depend only
+    on the knots, so ``M`` is built once per grid: one tridiagonal
+    (Thomas) sweep solves the slope system for every column of the
+    identity at once.  The sweep needs no pivoting, because eliminating the
+    first not-a-knot row leaves a diagonally dominant system.  Acting on
+    the steps of ``y``, not on ``y`` itself, keeps the rounding error
+    proportional to the slope, as in the banded solve.
+    """
+    x = np.frombuffer(knot_bytes, dtype=np.float64)
+    n = x.size
+    dx = np.diff(x)
+    # Secant slopes as rows acting on the steps of y.
+    slope = np.diag(1.0 / dx)
+    lower = np.zeros(n)
+    diag = np.empty(n)
+    upper = np.zeros(n)
+    rhs = np.empty((n, n - 1))
+    lower[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    upper[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    # Not-a-knot ends: the third derivative is continuous at x[1], x[-2].
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag[0], upper[0] = dx[1], d0
+    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    lower[-1], diag[-1] = d1, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    knot_slope = np.empty((n, n - 1))
+    knot_slope[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        knot_slope[i] = (rhs[i] - upper[i] * knot_slope[i + 1]) / diag[i]
+    # Hermite form of each cell from its end slopes.
+    t = (knot_slope[:-1] + knot_slope[1:] - 2.0 * slope) / dx[:, None]
+    quadratic = (slope - knot_slope[:-1]) / dx[:, None] - t
+    c_map = np.concatenate([t / dx[:, None], quadratic, knot_slope[:-1]])
+    c_map.flags.writeable = False
+    return c_map
+
+
 @dataclass
 class TwoToneSurface:
     """Pre-characterised two-tone harmonics over an amplitude grid.
@@ -672,9 +726,10 @@ class TwoToneSurface:
         n_k)``, highest power first: on ``[knots[i], knots[i + 1])`` the
         row's phi-Fourier coefficients are
         ``sum_p c[p, i] * (A - knots[i]) ** (degree - p)``.  Four or more
-        amplitudes give the not-a-knot cubic spline — its ``c`` array and
-        knots *are* the table, so evaluation reproduces the
-        ``CubicSpline`` interpolant; two or three give linear
+        amplitudes give the not-a-knot cubic spline (the interpolant of
+        ``scipy.interpolate.CubicSpline``, to rounding), built in numpy as
+        one product of the grid's memoised coefficient map
+        (:func:`_not_a_knot_map`) with the row; two or three give linear
         interpolation, one a constant.  Built once per row and cached: the
         solver hot loops only ever query ``m = 1``.
         """
@@ -684,10 +739,13 @@ class TwoToneSurface:
         if table is None:
             amps, ys = self.amplitudes, self.coefficients[row]
             if amps.size >= 4:
-                from scipy.interpolate import CubicSpline
-
-                spline = CubicSpline(amps, ys, axis=0)
-                table = (spline.x, spline.c)
+                c_map = _not_a_knot_map(np.asarray(amps, dtype=np.float64).tobytes())
+                # A real map acts on the real and imaginary parts alike, so
+                # apply it to the float64 view of the complex steps.
+                steps = np.diff(ys, axis=0).view(np.float64)
+                c = (c_map @ steps).view(np.complex128)
+                c = c.reshape(3, amps.size - 1, ys.shape[1])
+                table = (amps, np.concatenate([c, ys[None, :-1]]))
             elif amps.size >= 2:
                 slopes = np.diff(ys, axis=0) / np.diff(amps)[:, None]
                 table = (amps, np.stack([slopes, ys[:-1]]))

@@ -19,7 +19,6 @@ from repro.experiments.circuits import (
     tunnel_oscillator_circuit,
 )
 from repro.experiments.result import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 __all__ = [
     "OscillatorSetup",
@@ -34,3 +33,14 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
 ]
+
+
+def __getattr__(name: str):
+    # The registry imports every experiment driver (and through them the
+    # SPICE, measurement and baseline stacks); load it on first use, so a
+    # solve that only needs the canonical circuits starts faster.
+    if name in ("EXPERIMENTS", "run_experiment"):
+        from repro.experiments import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

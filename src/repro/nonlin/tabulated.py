@@ -14,7 +14,6 @@ available analytically for Newton solvers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.nonlin.base import CompiledLaw, Nonlinearity
 from repro.utils.validation import check_finite, check_monotonic, check_shape_match
@@ -123,6 +122,8 @@ class TabulatedNonlinearity(Nonlinearity):
             raise ValueError(
                 f"extrapolation must be one of {self._MODES}, got {extrapolation!r}"
             )
+        from scipy.interpolate import PchipInterpolator
+
         self._v = v
         self._i = i
         self._mode = extrapolation

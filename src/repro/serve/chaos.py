@@ -304,9 +304,10 @@ def _run_corrupt_cache_shard(scenario: ServeScenario) -> FaultOutcome:
         target = records[0]
         payload = target.read_bytes()
         target.write_bytes(payload[: max(16, len(payload) // 3)])
-        # A different deadline does not change the fingerprint, so resubmit
-        # with a different grid point to defeat the stale-result cache and
-        # force the worker back through the corrupted record.
+        # Resubmit on another frequency grid: the same surface records,
+        # so the worker goes back through the corrupted one.  Nothing
+        # answers an identical resubmission from memory today; a distinct
+        # spec keeps this drill honest if a fresh-result tier is added.
         status, again = client.submit(dict(tongue, freq_count=4), wait=True)
         quarantined = list(tmp.glob("??/*.npz.corrupt"))
         problems = _recovery_problems(host, client)

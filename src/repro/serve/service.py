@@ -35,6 +35,7 @@ import asyncio
 import contextlib
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.obs import (
@@ -103,7 +104,11 @@ class JobService:
             maxsize=self.config.queue_limit
         )
         self._tenant_inflight: dict[str, int] = {}
-        self._stale_results: dict[str, dict] = {}
+        #: Last completed result per spec fingerprint, most recent last;
+        #: the stale-cache rung of :meth:`_degrade`.  Bounded like the
+        #: job history, so a long-lived service holds at most
+        #: ``history_limit`` results.
+        self._stale_results: OrderedDict[str, dict] = OrderedDict()
         self._inflight_by_fp: dict[str, str] = {}
         self._dispatchers: list[asyncio.Task] = []
         self._health_task: asyncio.Task | None = None
@@ -495,7 +500,11 @@ class JobService:
         if recovered_via:
             record.result["recovered_via"] = recovered_via
         record.status = "completed"
-        self._stale_results[record.spec.fingerprint()] = dict(record.result)
+        fingerprint = record.spec.fingerprint()
+        self._stale_results[fingerprint] = dict(record.result)
+        self._stale_results.move_to_end(fingerprint)
+        while len(self._stale_results) > self.config.history_limit:
+            self._stale_results.popitem(last=False)
         metrics.inc("serve.completed", kind=record.spec.kind)
         self._finalise(record)
 
@@ -503,8 +512,10 @@ class JobService:
         """The degradation chain: stale cache -> coarse estimate -> dead-letter."""
         _note_fault(record, fault_kind)
         record.reason = f"{fault_kind}: {message}" if message else fault_kind
-        stale = self._stale_results.get(record.spec.fingerprint())
+        fingerprint = record.spec.fingerprint()
+        stale = self._stale_results.get(fingerprint)
         if stale is not None:
+            self._stale_results.move_to_end(fingerprint)
             record.result = dict(stale)
             record.degraded = True
             record.degraded_mode = "stale-cache"

@@ -19,6 +19,13 @@ gives the service three guarantees:
 The job payload protocol is plain dicts (fork start method, nothing
 exotic to pickle); :func:`execute_job` is the single entry point the
 worker runs, importable so tests can exercise it in-process.
+
+The service process itself never imports scipy (the analytic laws solve
+in numpy alone), so a fork does not inherit it.  Each worker imports
+``scipy.interpolate`` right after the fork, before its first ``recv``:
+the import runs on the worker's core while the parent boots and answers
+``/readyz``, and the first tabulated-law job (diff-pair) does not pay it
+inside its timed solve.
 """
 
 from __future__ import annotations
@@ -307,6 +314,11 @@ def _worker_main(conn) -> None:
         tracer.set_process("worker")
         worker_metrics.reset()
     except Exception:
+        pass
+    # Pre-load scipy before the first job (see the module docstring).
+    try:
+        import scipy.interpolate  # noqa: F401
+    except ImportError:
         pass
     while True:
         try:

@@ -12,7 +12,6 @@ arbitrary passive network — and exposes the same interface as
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.tank.base import PhaseInversionError, Tank
 from repro.utils.validation import check_finite, check_monotonic, check_shape_match
@@ -54,6 +53,8 @@ class GeneralTank(Tank):
         self._phase = np.unwrap(np.angle(h))
         if np.any(self._mag <= 0.0):
             raise ValueError("|H| must be positive at every sample")
+        from scipy.interpolate import PchipInterpolator
+
         self._mag_interp = PchipInterpolator(w, self._mag, extrapolate=False)
         self._phase_interp = PchipInterpolator(w, self._phase, extrapolate=False)
         self._w_c = self._find_center()

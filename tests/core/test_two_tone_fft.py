@@ -193,13 +193,15 @@ class TestCoefficientTable:
             tanh_nonlinearity, np.linspace(0.4, 1.7, 40), 0.03, 3, N_SAMPLES
         )
 
-    def test_table_equals_cubic_spline(self, surface):
+    @staticmethod
+    def _assert_equals_cubic_spline(surface):
         from scipy.interpolate import CubicSpline
 
         rng = np.random.default_rng(7)
+        lo, hi = surface.amplitudes[0], surface.amplitudes[-1]
         # Interior points, the knots themselves and a little extrapolation.
         a = np.concatenate(
-            [rng.uniform(0.35, 1.75, 200), surface.amplitudes, [0.4, 1.7]]
+            [rng.uniform(lo - 0.05, hi + 0.05, 200), surface.amplitudes, [lo, hi]]
         )
         p = rng.uniform(-1.0, 2.0 * np.pi + 1.0, a.size)
         spline = CubicSpline(surface.amplitudes, surface.coefficients[0], axis=0)
@@ -207,6 +209,39 @@ class TestCoefficientTable:
         want = np.einsum("pk,pk->p", spline(a), basis)
         got = surface.harmonic_at(a, p)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_table_equals_cubic_spline(self, surface):
+        self._assert_equals_cubic_spline(surface)
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            np.linspace(0.5, 1.6, 4),
+            np.linspace(0.5, 1.6, 5),
+            np.geomspace(0.4, 1.7, 25),
+            np.asarray([0.4, 0.45, 0.6, 0.62, 0.9, 1.3, 1.35, 1.7]),
+        ],
+        ids=["n4", "n5", "geometric", "irregular"],
+    )
+    def test_small_and_nonuniform_grids_equal_cubic_spline(
+        self, tanh_nonlinearity, amplitudes
+    ):
+        surface = two_tone_surface(tanh_nonlinearity, amplitudes, 0.03, 3, N_SAMPLES)
+        self._assert_equals_cubic_spline(surface)
+
+    def test_surfaces_on_one_grid_share_the_coefficient_map(self, tanh_nonlinearity):
+        from repro.core.two_tone import _not_a_knot_map
+
+        amplitudes = np.linspace(0.45, 1.65, 17)
+        first, second = (
+            two_tone_surface(tanh_nonlinearity, amplitudes, v_i, 3, N_SAMPLES)
+            for v_i in (0.02, 0.04)
+        )
+        _not_a_knot_map.cache_clear()
+        for surface in (first, second):
+            self._assert_equals_cubic_spline(surface)
+        info = _not_a_knot_map.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_gradients_match_central_differences(self, surface):
         a = np.asarray([0.55, 0.9712, 1.433, 1.69])

@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+_SRC = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
 
 class TestParser:
@@ -97,6 +105,22 @@ class TestMethodAndProfile:
         assert record["argv"] == ["--profile", "lockrange", "--oscillator", "tanh"]
         assert "characterize" in record["phases"]
         assert {"hits", "misses"} <= set(record["cache"])
+
+    def test_profile_records_import_time(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_SRC, env.get("PYTHONPATH")) if p
+        )
+        argv = [sys.executable, "-m", "repro", "--profile", "lockrange"]
+        started = time.perf_counter()
+        proc = subprocess.run(
+            argv + ["--oscillator", "tanh"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        wall_s = time.perf_counter() - started
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads((tmp_path / "BENCH_LOCKRANGE.json").read_text())
+        assert 0.0 < record["import_s"] < wall_s
 
 
 class TestCacheStats:
